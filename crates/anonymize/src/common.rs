@@ -77,15 +77,18 @@ impl QiMatrix {
 pub struct ClusterState {
     /// For each QI attribute: `Some(code)` while the cluster is
     /// uniform on it, `None` once mixed.
-    pub uniform: Vec<Option<u32>>,
+    uniform: Vec<Option<u32>>,
+    /// Number of `None` entries in `uniform`, kept current by every
+    /// mutation so the loss queries below never rescan the mask.
+    lost: usize,
     /// Cluster members (local indices).
-    pub members: Vec<usize>,
+    members: Vec<usize>,
 }
 
 impl ClusterState {
     /// A singleton cluster of local row `i`.
     pub fn singleton(m: &QiMatrix, i: usize) -> Self {
-        Self { uniform: m.row(i).iter().map(|&c| Some(c)).collect(), members: vec![i] }
+        Self { uniform: m.row(i).iter().map(|&c| Some(c)).collect(), lost: 0, members: vec![i] }
     }
 
     /// Number of members.
@@ -98,24 +101,31 @@ impl ClusterState {
         self.members.is_empty()
     }
 
+    /// Cluster members (local indices), in insertion order.
+    pub fn members(&self) -> &[usize] {
+        &self.members
+    }
+
+    /// Consumes the cluster, returning its members.
+    pub fn into_members(self) -> Vec<usize> {
+        self.members
+    }
+
     /// Number of QI attributes currently suppressed (non-uniform).
     pub fn lost_attrs(&self) -> usize {
-        self.uniform.iter().filter(|u| u.is_none()).count()
+        self.lost
     }
 
     /// Suppression-model information loss of the cluster: every member
     /// loses each non-uniform attribute, so `IL = |C| · lost_attrs`.
     pub fn info_loss(&self) -> usize {
-        self.len() * self.lost_attrs()
+        self.len() * self.lost
     }
 
     /// The increase of [`ClusterState::info_loss`] if local row `i`
     /// joined.
     pub fn il_increase(&self, m: &QiMatrix, i: usize) -> usize {
-        let row = m.row(i);
-        let newly_lost =
-            self.uniform.iter().zip(row).filter(|(u, &c)| matches!(u, Some(x) if *x != c)).count();
-        let lost_after = self.lost_attrs() + newly_lost;
+        let lost_after = self.lost + self.distance(m, i) as usize;
         (self.len() + 1) * lost_after - self.info_loss()
     }
 
@@ -132,9 +142,24 @@ impl ClusterState {
         for (u, &c) in self.uniform.iter_mut().zip(m.row(i)) {
             if matches!(u, Some(x) if *x != c) {
                 *u = None;
+                self.lost += 1;
             }
         }
         self.members.push(i);
+    }
+
+    /// Removes the member at position `pos` by `swap_remove` and
+    /// returns it. Removing a member can restore uniformity, so the
+    /// mask is rebuilt from the remaining members (at least one must
+    /// remain).
+    pub fn remove_at(&mut self, m: &QiMatrix, pos: usize) -> usize {
+        let gone = self.members.swap_remove(pos);
+        let rest = std::mem::take(&mut self.members);
+        *self = Self::singleton(m, rest[0]);
+        for &i in &rest[1..] {
+            self.push(m, i);
+        }
+        gone
     }
 }
 

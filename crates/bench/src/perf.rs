@@ -15,12 +15,13 @@
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 
+use diva_anonymize::{Anonymizer, KMember};
 use diva_constraints::ConstraintSet;
 use diva_core::{
     run_portfolio, BudgetSpec, ConstraintGraph, Diva, DivaConfig, DivaError, Outcome, Strategy,
 };
 use diva_obs::{Obs, Stopwatch};
-use diva_relation::{Relation, RowSet};
+use diva_relation::{Relation, RowId, RowSet};
 
 /// Instance sizes of the Fig. 4a-style trajectory sweep.
 const TRAJECTORY_ROWS: [usize; 4] = [250, 500, 1_000, 2_000];
@@ -640,6 +641,38 @@ fn bench_provenance_overhead(rel: &Relation, k: usize) -> ProvenanceOverhead {
 }
 
 // ---------------------------------------------------------------------
+// Anonymize residue: the k-member kernel at the sizes where it
+// dominates a DIVA run.
+// ---------------------------------------------------------------------
+
+/// Residue sizes of the k-member sweep.
+const RESIDUE_ROWS: [usize; 3] = [16_000, 64_000, 128_000];
+/// Timed repetitions per residue size (after one warm-up run).
+const RESIDUE_REPS: usize = 3;
+
+struct ResiduePoint {
+    rows: usize,
+    best_s: f64,
+    rows_per_sec: f64,
+}
+
+/// Times `KMember::default()` (the Anonymize step's anonymizer,
+/// `candidate_cap` 2048) clustering every row of a medical table at
+/// k = 5, i.e. on a residue of `rows` rows.
+fn bench_anonymize_residue(rows: usize) -> ResiduePoint {
+    let rel = diva_datagen::medical(rows, 7);
+    let all: Vec<RowId> = (0..rows).collect();
+    let best_s = time_best_ms(RESIDUE_REPS, || {
+        black_box(KMember::default().cluster(black_box(&rel), black_box(&all), 5));
+    }) / 1_000.0;
+    ResiduePoint {
+        rows,
+        best_s,
+        rows_per_sec: if best_s > 0.0 { rows as f64 / best_s } else { f64::INFINITY },
+    }
+}
+
+// ---------------------------------------------------------------------
 // Audit throughput: re-scoring a published table must stay cheap.
 // ---------------------------------------------------------------------
 
@@ -723,6 +756,8 @@ pub fn bench_json() -> String {
     let live = bench_live_overhead(&diva_datagen::medical(4_000, 7), 5);
     let provenance = bench_provenance_overhead(&diva_datagen::medical(4_000, 7), 5);
     let audit = bench_audit_throughput(&diva_datagen::medical(100_000, 7));
+    let residue: Vec<ResiduePoint> =
+        RESIDUE_ROWS.iter().map(|&n| bench_anonymize_residue(n)).collect();
 
     // Budget sweep on the acceptance instance (EXPERIMENTS.md §budget).
     let sweep_rel = diva_datagen::medical(4_000, 29);
@@ -878,6 +913,24 @@ pub fn bench_json() -> String {
     out.push_str(&format!("    \"stars_attributed\": {},\n", provenance.stars_attributed));
     out.push_str("    \"enabled_budget_pct\": 1.0\n");
     out.push_str("  },\n");
+    out.push_str("  \"anonymize_residue\": {\n");
+    out.push_str(
+        "    \"instance\": \"medical (seed 7), every row as the residue, \
+         KMember::default() (candidate_cap 2048), k=5\",\n",
+    );
+    out.push_str(&format!("    \"reps\": {RESIDUE_REPS},\n"));
+    out.push_str("    \"points\": [\n");
+    for (i, p) in residue.iter().enumerate() {
+        out.push_str(&format!(
+            "      {{\"rows\": {}, \"best_s\": {:.4}, \"rows_per_sec\": {:.0}}}{}\n",
+            p.rows,
+            p.best_s,
+            p.rows_per_sec,
+            if i + 1 < residue.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("    ]\n");
+    out.push_str("  },\n");
     out.push_str("  \"audit_throughput\": {\n");
     out.push_str("    \"instance\": \"medical-100k raw, all eight models gated\",\n");
     out.push_str(&format!("    \"rows\": {},\n", audit.rows));
@@ -907,6 +960,13 @@ mod tests {
         // bench_graph asserts edge-for-edge agreement internally.
         let b = bench_graph(&set);
         assert_eq!(b.n_constraints, 6);
+    }
+
+    #[test]
+    fn anonymize_residue_reports_sane_numbers() {
+        let p = bench_anonymize_residue(500);
+        assert_eq!(p.rows, 500);
+        assert!(p.best_s > 0.0 && p.rows_per_sec.is_finite());
     }
 
     #[test]

@@ -77,6 +77,12 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(command) = args.first() else {
         return Err(usage());
     };
+    if args[1..].iter().any(|a| a == "--help" || a == "-h") {
+        if let Some(text) = command_usage(command) {
+            println!("{text}");
+            return Ok(());
+        }
+    }
     let opts = parse_flags(&args[1..])?;
     match command.as_str() {
         "anonymize" => anonymize(&opts),
@@ -95,61 +101,101 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// Each subcommand's synopsis, in the order `diva help` lists them.
+const COMMANDS: [(&str, &str); 8] = [
+    (
+        "anonymize",
+        "anonymize  --input FILE --roles LIST --constraints FILE -k N \\\n\
+         \u{20}          [--strategy basic|minchoice|maxfanout] [--algo kmember|oka|mondrian]\n\
+         \u{20}          [--l N  l-diversity requirement, default 1 = off]\n\
+         \u{20}          [--l-variant distinct|entropy|recursive  how --l is enforced,\n\
+         \u{20}           default distinct; recursive reads its c from --l-c (default 1.0)]\n\
+         \u{20}          [--l-c F  the c of recursive (c,l)-diversity]\n\
+         \u{20}          [--portfolio N  race all strategies × N seeds, first win returns]\n\
+         \u{20}          [--threads N  worker cap for --portfolio and the component pool]\n\
+         \u{20}          [--no-decompose  force the monolithic solve (no component parallelism)]\n\
+         \u{20}          [--component-portfolio N  race all strategies on components of ≥ N nodes]\n\
+         \u{20}          [--provenance FILE  write the decision-provenance log (json-lines):\n\
+         \u{20}           one record per published group and per starred cell, plus the\n\
+         \u{20}           per-constraint star attribution]\n\
+         \u{20}          [--trace FILE  write a JSON-lines span trace of the run]\n\
+         \u{20}          [--metrics FILE  write the aggregated metrics summary JSON]\n\
+         \u{20}          [--flame FILE  write collapsed stacks (self-time weighted) for flamegraphs]\n\
+         \u{20}          [--profile  print self-time / critical-path / allocation report lines]\n\
+         \u{20}          [--deadline-ms N  wall-clock budget; exceeding it degrades gracefully]\n\
+         \u{20}          [--node-budget N  cap on explored search nodes before degrading]\n\
+         \u{20}          [--repair-budget N  cap on repair attempts before degrading]\n\
+         \u{20}          [--stats-addr HOST:PORT  serve live progress over HTTP (/metrics\n\
+         \u{20}           Prometheus text, /stats.json summary schema); port 0 picks a free\n\
+         \u{20}           port, announced on stderr]\n\
+         \u{20}          [--watch  print one live progress line per sample to stderr]\n\
+         \u{20}          [--sample-ms N  live sampling interval, default 100]\n\
+         \u{20}          [--stall-periods N  idle samples before the stall watchdog trips,\n\
+         \u{20}           default 5]\n\
+         \u{20}          [--stall-escalate  a detected stall degrades the run gracefully]\n\
+         \u{20}          [--seed N] --output FILE",
+    ),
+    (
+        "audit",
+        "audit      --input FILE --roles LIST [--emit json|table] [--output FILE] \\\n\
+         \u{20}          [--k N] [--l N  distinct] [--entropy-l F] \\\n\
+         \u{20}          [--recursive-c F] [--recursive-l N  tail index, default 2] \\\n\
+         \u{20}          [--alpha F] [--beta F] [--enhanced-beta F] [--delta F] [--t F]\n\
+         \u{20}          scores the table on all nine privacy models; each given\n\
+         \u{20}          parameter becomes a pass/fail gate (non-zero exit on failure)",
+    ),
+    (
+        "explain",
+        "explain    (--provenance FILE | --input FILE --roles LIST --constraints FILE -k N) \\\n\
+         \u{20}          (--row N | --constraint ID-or-LABEL | --top-costly) \\\n\
+         \u{20}          [--emit json|table] [--output FILE]\n\
+         \u{20}          answers provenance queries — which decision starred a row's cells,\n\
+         \u{20}          what one constraint cost, the costliest constraints — against a\n\
+         \u{20}          saved --provenance file or a fresh run",
+    ),
+    (
+        "check",
+        "check      --input FILE --roles LIST --constraints FILE -k N",
+    ),
+    (
+        "stats",
+        "stats      --input FILE --roles LIST -k N",
+    ),
+    (
+        "generate",
+        "generate   --dataset medical|pantheon|census|credit|popsyn --rows N \\\n\
+         \u{20}          [--dist uniform|zipf|gaussian] [--seed N] --output FILE",
+    ),
+    (
+        "sigma-gen",
+        "sigma-gen  --input FILE --roles LIST --class proportional|minfreq|average|islands \\\n\
+         \u{20}          --count N [--slack F] [--min-freq N] \\\n\
+         \u{20}          [--per-group N  islands: constraints per family, default 3] --output FILE",
+    ),
+    (
+        "compare",
+        "compare    --input FILE --roles LIST --constraints FILE -k N [--seed N]",
+    ),
+];
+
+/// The flags every subcommand accepts.
+const GLOBAL_FLAGS: &str = "global:    --quiet  suppress the human-readable report lines";
+
 fn usage() -> String {
-    "usage: diva <anonymize|audit|explain|check|stats|generate|sigma-gen|compare> [flags]\n\
-     \n\
-     anonymize  --input FILE --roles LIST --constraints FILE -k N \\\n\
-     \u{20}          [--strategy basic|minchoice|maxfanout] [--algo kmember|oka|mondrian]\n\
-     \u{20}          [--l N  l-diversity requirement, default 1 = off]\n\
-     \u{20}          [--l-variant distinct|entropy|recursive  how --l is enforced,\n\
-     \u{20}           default distinct; recursive reads its c from --l-c (default 1.0)]\n\
-     \u{20}          [--l-c F  the c of recursive (c,l)-diversity]\n\
-     \u{20}          [--portfolio N  race all strategies × N seeds, first win returns]\n\
-     \u{20}          [--threads N  worker cap for --portfolio and the component pool]\n\
-     \u{20}          [--no-decompose  force the monolithic solve (no component parallelism)]\n\
-     \u{20}          [--component-portfolio N  race all strategies on components of ≥ N nodes]\n\
-     \u{20}          [--provenance FILE  write the decision-provenance log (json-lines):\n\
-     \u{20}           one record per published group and per starred cell, plus the\n\
-     \u{20}           per-constraint star attribution]\n\
-     \u{20}          [--trace FILE  write a JSON-lines span trace of the run]\n\
-     \u{20}          [--metrics FILE  write the aggregated metrics summary JSON]\n\
-     \u{20}          [--flame FILE  write collapsed stacks (self-time weighted) for flamegraphs]\n\
-     \u{20}          [--profile  print self-time / critical-path / allocation report lines]\n\
-     \u{20}          [--deadline-ms N  wall-clock budget; exceeding it degrades gracefully]\n\
-     \u{20}          [--node-budget N  cap on explored search nodes before degrading]\n\
-     \u{20}          [--repair-budget N  cap on repair attempts before degrading]\n\
-     \u{20}          [--stats-addr HOST:PORT  serve live progress over HTTP (/metrics\n\
-     \u{20}           Prometheus text, /stats.json summary schema); port 0 picks a free\n\
-     \u{20}           port, announced on stderr]\n\
-     \u{20}          [--watch  print one live progress line per sample to stderr]\n\
-     \u{20}          [--sample-ms N  live sampling interval, default 100]\n\
-     \u{20}          [--stall-periods N  idle samples before the stall watchdog trips,\n\
-     \u{20}           default 5]\n\
-     \u{20}          [--stall-escalate  a detected stall degrades the run gracefully]\n\
-     \u{20}          [--seed N] --output FILE\n\
-     audit      --input FILE --roles LIST [--emit json|table] [--output FILE] \\\n\
-     \u{20}          [--k N] [--l N  distinct] [--entropy-l F] \\\n\
-     \u{20}          [--recursive-c F] [--recursive-l N  tail index, default 2] \\\n\
-     \u{20}          [--alpha F] [--beta F] [--enhanced-beta F] [--delta F] [--t F]\n\
-     \u{20}          scores the table on all nine privacy models; each given\n\
-     \u{20}          parameter becomes a pass/fail gate (non-zero exit on failure)\n\
-     explain    (--provenance FILE | --input FILE --roles LIST --constraints FILE -k N) \\\n\
-     \u{20}          (--row N | --constraint ID-or-LABEL | --top-costly) \\\n\
-     \u{20}          [--emit json|table] [--output FILE]\n\
-     \u{20}          answers provenance queries — which decision starred a row's cells,\n\
-     \u{20}          what one constraint cost, the costliest constraints — against a\n\
-     \u{20}          saved --provenance file or a fresh run\n\
-     check      --input FILE --roles LIST --constraints FILE -k N\n\
-     stats      --input FILE --roles LIST -k N\n\
-     generate   --dataset medical|pantheon|census|credit|popsyn --rows N \\\n\
-     \u{20}          [--dist uniform|zipf|gaussian] [--seed N] --output FILE\n\
-     sigma-gen  --input FILE --roles LIST --class proportional|minfreq|average|islands \\\n\
-     \u{20}          --count N [--slack F] [--min-freq N] \\\n\
-     \u{20}          [--per-group N  islands: constraints per family, default 3] --output FILE\n\
-     compare    --input FILE --roles LIST --constraints FILE -k N [--seed N]\n\
-     \n\
-     global:    --quiet  suppress the human-readable report lines"
-        .to_string()
+    let names: Vec<&str> = COMMANDS.iter().map(|&(name, _)| name).collect();
+    let synopses: Vec<&str> = COMMANDS.iter().map(|&(_, synopsis)| synopsis).collect();
+    format!(
+        "usage: diva <{}> [flags]\n\n{}\n\n{GLOBAL_FLAGS}",
+        names.join("|"),
+        synopses.join("\n")
+    )
+}
+
+/// One subcommand's usage, printed by `diva <command> --help`.
+fn command_usage(command: &str) -> Option<String> {
+    COMMANDS.iter().find(|&&(name, _)| name == command).map(|(_, synopsis)| {
+        format!("usage: diva {command} [flags]\n\n{synopsis}\n\n{GLOBAL_FLAGS}")
+    })
 }
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {

@@ -453,6 +453,29 @@ fn bad_flags_are_reported() {
 }
 
 #[test]
+fn subcommand_help_prints_its_usage() {
+    let commands =
+        ["anonymize", "audit", "explain", "check", "stats", "generate", "sigma-gen", "compare"];
+    for command in commands {
+        for flag in ["--help", "-h"] {
+            let o = diva(&[command, flag]);
+            assert!(o.status.success(), "{command} {flag}: {}", String::from_utf8_lossy(&o.stderr));
+            let out = String::from_utf8_lossy(&o.stdout);
+            assert!(out.starts_with(&format!("usage: diva {command} [flags]")), "{out}");
+            // Only this subcommand's synopsis, not the whole table.
+            let others = commands.iter().filter(|&&c| c != command);
+            for other in others {
+                assert!(!out.contains(&format!("\n{other} ")), "{command} help lists {other}");
+            }
+        }
+    }
+    // Help wins over missing required flags and a trailing flag.
+    let o = diva(&["anonymize", "--input", "x.csv", "--help"]);
+    assert!(o.status.success());
+    assert!(String::from_utf8_lossy(&o.stdout).contains("--constraints FILE"));
+}
+
+#[test]
 fn bad_roles_and_missing_files() {
     let o = diva(&["stats", "--input", "/nonexistent.csv", "--roles", "qi", "--k", "3"]);
     assert!(!o.status.success());

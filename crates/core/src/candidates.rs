@@ -252,44 +252,37 @@ impl CandidateSet {
         Some(repaired)
     }
 
-    /// Re-indexes this candidate set into a component-local row-id
-    /// space. `rows` holds the component's global row ids ascending
-    /// (local id = position) and `to_local[g]` the inverse map
-    /// (`u32::MAX` for rows outside the component; those are dropped,
-    /// which never fires for a closed component since every candidate
-    /// row is one of the constraint's target rows). Candidate order,
-    /// the similarity/shuffle order of `sorted_targets`, and the
-    /// ℓ-diversity signatures all survive the remap unchanged, so a
-    /// compact per-component solve walks candidates exactly like the
-    /// monolithic one.
-    pub(crate) fn remap_rows(&self, rows: &[RowId], to_local: &[u32]) -> Self {
-        let map =
-            |r: RowId| to_local.get(r).copied().filter(|&l| l != u32::MAX).map(|l| l as usize);
-        let candidates = self
-            .candidates
-            .iter()
-            .map(|clustering| {
-                clustering
-                    .iter()
-                    .map(|cluster| cluster.iter().filter_map(|&r| map(r)).collect())
-                    .collect()
-            })
-            .collect();
-        let sorted_targets = self.sorted_targets.iter().filter_map(|&r| map(r)).collect();
-        let sens_sig = if self.sens_sig.is_empty() {
-            Vec::new()
-        } else {
+    /// Re-indexes this candidate set, in place, into a component-local
+    /// row-id space. `rows` holds the component's global row ids
+    /// ascending (local id = position) and `to_local[g]` the inverse
+    /// map (`u32::MAX` for rows outside the component; those are
+    /// dropped, which never fires for a closed component since every
+    /// candidate row is one of the constraint's target rows).
+    /// Candidate order, the similarity/shuffle order of
+    /// `sorted_targets`, and the ℓ-diversity signatures all survive the
+    /// remap unchanged, so a compact per-component solve walks
+    /// candidates exactly like the monolithic one. Consuming `self`
+    /// means a decomposed solve never holds a second copy of every
+    /// candidate.
+    pub(crate) fn into_local(mut self, rows: &[RowId], to_local: &[u32]) -> Self {
+        let relabel = |r: &mut RowId| match to_local.get(*r).copied().filter(|&l| l != u32::MAX) {
+            Some(l) => {
+                *r = l as usize;
+                true
+            }
+            None => false,
+        };
+        for cluster in self.candidates.iter_mut().flatten() {
+            cluster.retain_mut(relabel);
+        }
+        self.sorted_targets.retain_mut(relabel);
+        if !self.sens_sig.is_empty() {
             // Dense over local ids: local row l keeps global row
             // rows[l]'s signature, so distinctness is untouched.
-            rows.iter().map(|&g| self.sens_sig.get(g).copied().unwrap_or(g as u64)).collect()
-        };
-        Self {
-            candidates,
-            lower_is_free: self.lower_is_free,
-            sorted_targets,
-            min_sensitive: self.min_sensitive,
-            sens_sig,
+            self.sens_sig =
+                rows.iter().map(|&g| self.sens_sig.get(g).copied().unwrap_or(g as u64)).collect();
         }
+        self
     }
 
     /// Number of candidates.
@@ -613,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn remap_rows_preserves_structure_in_local_ids() {
+    fn into_local_preserves_structure_in_local_ids() {
         // σ3 targets global rows {5,6,7,9}; compact them to 0..4.
         let cs = candidates_for("CTY", "Vancouver", 2, 4, 2);
         let rows = vec![5usize, 6, 7, 9];
@@ -621,7 +614,7 @@ mod tests {
         for (l, &g) in rows.iter().enumerate() {
             to_local[g] = l as u32;
         }
-        let compact = cs.remap_rows(&rows, &to_local);
+        let compact = cs.clone().into_local(&rows, &to_local);
         assert_eq!(compact.len(), cs.len());
         assert_eq!(compact.lower_is_free, cs.lower_is_free);
         assert_eq!(compact.sorted_targets.len(), cs.sorted_targets.len());

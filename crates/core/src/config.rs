@@ -275,6 +275,13 @@ impl DivaConfig {
         Ok(self)
     }
 
+    /// The worker-thread count [`DivaConfig::threads`] allows: the cap
+    /// itself, or `std::thread::available_parallelism()` when unset.
+    /// Positive whenever [`DivaConfig::validate`] passes.
+    pub(crate) fn worker_cap(&self) -> usize {
+        self.threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    }
+
     /// Checks range constraints that the field types can't express.
     /// Called by [`crate::run_portfolio`] and [`crate::Diva::run`];
     /// `threads == Some(0)` is rejected rather than silently promoted

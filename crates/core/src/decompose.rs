@@ -12,7 +12,7 @@
 //!    remapped to dense local ids so `RowSet`/`SearchState` capacity
 //!    shrinks from the whole relation to the component footprint
 //!    ([`ConstraintGraph::compact_subgraph`],
-//!    [`CandidateSet::remap_rows`]),
+//!    [`CandidateSet::into_local`]),
 //! 3. solves the components concurrently on the bounded worker pool
 //!    ([`crate::pool`]), and
 //! 4. merges the per-component clusterings back deterministically
@@ -100,7 +100,7 @@ struct SubProblem {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_clustering(
     graph: &ConstraintGraph,
-    candidates: &[CandidateSet],
+    candidates: Vec<CandidateSet>,
     uppers: &[usize],
     labels: &[String],
     config: &DivaConfig,
@@ -110,7 +110,7 @@ pub(crate) fn solve_clustering(
     let comps = if config.decompose { components(graph) } else { Vec::new() };
     if comps.len() <= 1 {
         config.board.set_components_total(1);
-        let mut coloring = Coloring::new(graph, candidates, uppers.to_vec(), labels, config);
+        let mut coloring = Coloring::new(graph, &candidates, uppers.to_vec(), labels, config);
         if let Some(token) = cancel {
             coloring = coloring.with_cancel(Arc::clone(token));
         }
@@ -150,6 +150,9 @@ pub(crate) fn solve_clustering(
 
     // Build every compact sub-problem up front (serial: remapping is
     // linear and the scratch row map is reused across components).
+    // Components partition the nodes, so each candidate set moves into
+    // exactly one sub-problem and is remapped in place.
+    let mut candidates: Vec<Option<CandidateSet>> = candidates.into_iter().map(Some).collect();
     let mut to_local_row = vec![u32::MAX; graph.n_rows()];
     let mut subs = Vec::with_capacity(comps.len());
     for comp in &comps {
@@ -163,11 +166,18 @@ pub(crate) fn solve_clustering(
         cgraph
             .validate()
             .map_err(|detail| DivaError::InvariantViolated { phase: "Decompose".into(), detail })?;
-        let ccands: Vec<CandidateSet> = comp
+        let ccands = comp
             .nodes
             .iter()
-            .map(|&g| candidates[g as usize].remap_rows(&comp.rows, &to_local_row))
-            .collect();
+            .map(|&g| {
+                let cs =
+                    candidates[g as usize].take().ok_or_else(|| DivaError::InvariantViolated {
+                        phase: "Decompose".into(),
+                        detail: format!("node {g} lies in two components"),
+                    })?;
+                Ok(cs.into_local(&comp.rows, &to_local_row))
+            })
+            .collect::<Result<Vec<_>, DivaError>>()?;
         let cuppers: Vec<usize> = comp.nodes.iter().map(|&g| uppers[g as usize]).collect();
         let clabels: Vec<String> = comp.nodes.iter().map(|&g| labels[g as usize].clone()).collect();
         for &g in &comp.rows {
@@ -183,8 +193,7 @@ pub(crate) fn solve_clustering(
     }
 
     let obs = &config.obs;
-    let hw = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let n_workers = config.threads.unwrap_or(hw).clamp(1, subs.len());
+    let n_workers = config.worker_cap().clamp(1, subs.len());
     let mut span = obs.span("diva.components").attr("count", subs.len()).attr("workers", n_workers);
     let span_id = span.id();
     config.board.set_components_total(subs.len() as u64);
@@ -482,7 +491,7 @@ mod tests {
     fn solve(config: &DivaConfig, sigma: &[Constraint]) -> Result<ColoringOutcome, DivaError> {
         let r = paper_table1();
         let (graph, candidates, uppers, labels) = problem(&r, sigma, config);
-        solve_clustering(&graph, &candidates, &uppers, &labels, config, None, None)
+        solve_clustering(&graph, candidates, &uppers, &labels, config, None, None)
     }
 
     #[test]
@@ -529,7 +538,7 @@ mod tests {
         let config = DivaConfig::with_k(2);
         let (graph, candidates, uppers, labels) = problem(&r, &split_sigma(), &config);
         let out =
-            solve_clustering(&graph, &candidates, &uppers, &labels, &config, None, Some(&budget))
+            solve_clustering(&graph, candidates, &uppers, &labels, &config, None, Some(&budget))
                 .expect("deadline exhaustion degrades, it does not error");
         assert!(out.clusters.is_empty());
         assert!(out.degraded.is_some());
@@ -542,7 +551,7 @@ mod tests {
         let config = DivaConfig::with_k(2);
         let (graph, candidates, uppers, labels) = problem(&r, &split_sigma(), &config);
         let err =
-            solve_clustering(&graph, &candidates, &uppers, &labels, &config, Some(&token), None)
+            solve_clustering(&graph, candidates, &uppers, &labels, &config, Some(&token), None)
                 .unwrap_err();
         assert_eq!(err, DivaError::Cancelled);
     }

@@ -107,6 +107,22 @@ fn note_alloc(
     }
 }
 
+/// Unwraps the enumeration pool's per-constraint results, in
+/// constraint order. Enumeration itself cannot fail: an error slot is
+/// a contained panic and an empty slot a task skipped after one, so
+/// either is an invariant violation.
+fn collect_enumerated<T>(results: Vec<Option<Result<T, DivaError>>>) -> Result<Vec<T>, DivaError> {
+    results
+        .into_iter()
+        .map(|r| {
+            r.and_then(Result::ok).ok_or_else(|| DivaError::InvariantViolated {
+                phase: "CandidateEnumeration".into(),
+                detail: "enumeration worker panicked".into(),
+            })
+        })
+        .collect()
+}
+
 /// The output of a DIVA run: a `k`-anonymous relation satisfying `Σ`
 /// exactly, or — when a resource budget tripped — the degraded-mode
 /// fallback tagged by [`DivaResult::outcome`].
@@ -262,47 +278,30 @@ impl Diva {
         let shuffle = (self.config.strategy == Strategy::Basic).then_some(self.config.seed);
         // Candidate enumeration is independent per constraint — the
         // natural "satisfy constraints in parallel" decomposition the
-        // paper's future-work section sketches — so fan it out over a
-        // scoped thread pool for multi-constraint inputs. Enumeration
-        // is the longest uninterruptible stretch on large inputs, so
-        // the budget's deadline (and the cancellation token) reach
-        // inside it via the stop probe; the search's entry poll then
-        // converts the fired probe into a degradation or cancellation.
+        // paper's future-work section sketches — so fan it out over the
+        // bounded worker pool, capped by `threads` like the component
+        // solve. Enumeration is the longest uninterruptible stretch on
+        // large inputs, so the budget's deadline (and the cancellation
+        // token) reach inside it via the stop probe; the search's entry
+        // poll then converts the fired probe into a degradation or
+        // cancellation.
         let stop = || deadline_hit(&budget).is_some() || cancelled();
-        let enumerate_one = |c: &diva_constraints::BoundConstraint| {
-            CandidateSet::enumerate_interruptible(
-                rel,
-                c,
-                self.config.k,
-                self.config.max_candidates,
-                shuffle,
-                // Every diversity variant implies ≥ l distinct
-                // sensitive values per class, so the model's l is a
-                // sound enumeration-time filter for all of them.
-                self.config.diversity_model().map_or(1, |m| m.l()),
-                &stop,
-            )
-        };
-        let candidates: Vec<CandidateSet> = if set.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = set
-                    .constraints()
-                    .iter()
-                    .map(|c| scope.spawn(move || enumerate_one(c)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().map_err(|_| DivaError::InvariantViolated {
-                            phase: "CandidateEnumeration".into(),
-                            detail: "enumeration worker panicked".into(),
-                        })
-                    })
-                    .collect::<Result<_, _>>()
-            })?
-        } else {
-            set.constraints().iter().map(enumerate_one).collect()
-        };
+        let enumerated =
+            crate::pool::run_tasks(set.constraints(), self.config.worker_cap(), |_, c| {
+                Ok(CandidateSet::enumerate_interruptible(
+                    rel,
+                    c,
+                    self.config.k,
+                    self.config.max_candidates,
+                    shuffle,
+                    // Every diversity variant implies ≥ l distinct
+                    // sensitive values per class, so the model's l is
+                    // a sound enumeration-time filter for all of them.
+                    self.config.diversity_model().map_or(1, |m| m.l()),
+                    &stop,
+                ))
+            });
+        let candidates = collect_enumerated(enumerated)?;
         stats.candidates_generated = candidates.iter().map(CandidateSet::len).sum();
         for cs in &candidates {
             cs.record_to(obs);
@@ -315,7 +314,7 @@ impl Diva {
         // the monolithic search for exact outcomes — DESIGN.md §12).
         let outcome = crate::decompose::solve_clustering(
             &graph,
-            &candidates,
+            candidates,
             &uppers,
             &labels,
             &self.config,
@@ -995,6 +994,20 @@ mod tests {
 
     use diva_relation::fixtures::paper_table1;
     use diva_relation::suppress::is_refinement;
+
+    #[test]
+    fn enumeration_panic_is_an_invariant_violation() {
+        let results = crate::pool::run_tasks(&[0usize, 1, 2], 2, |_, &t| {
+            assert!(t != 1, "synthetic enumeration bug");
+            Ok(t)
+        });
+        match collect_enumerated(results) {
+            Err(DivaError::InvariantViolated { phase, .. }) => {
+                assert_eq!(phase, "CandidateEnumeration");
+            }
+            other => panic!("expected an invariant violation, got {other:?}"),
+        }
+    }
 
     fn example_sigma() -> Vec<Constraint> {
         vec![

@@ -119,10 +119,8 @@ where
     let next = Arc::new(AtomicUsize::new(0));
     let (tx, rx) = mpsc::channel::<(usize, Result<DivaResult, DivaError>)>();
 
-    // `validate()` above rejected `Some(0)`, and `available_parallelism`
-    // is at least 1, so the cap is always positive.
-    let hw = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let n_workers = members.len().min(config.threads.unwrap_or(hw));
+    // `validate()` above rejected `Some(0)`, so the cap is positive.
+    let n_workers = members.len().min(config.worker_cap());
     root_span.set_attr("workers", n_workers);
     for _ in 0..n_workers {
         let members = Arc::clone(&members);
@@ -182,7 +180,9 @@ where
     drop(tx);
 
     let mut best_err: Option<DivaError> = None;
-    let mut panic_detail: Option<String> = None;
+    // The lowest-indexed panicked member's detail, so the reported
+    // panic does not depend on which member finished last.
+    let mut panic_detail: Option<(usize, String)> = None;
     while let Ok((winner, outcome)) = rx.recv() {
         match outcome {
             // Exact winner or budget-degraded member: either way the
@@ -205,7 +205,9 @@ where
             // verdict; it never reaches this loop before a win anyway.
             Err(DivaError::Cancelled) => {}
             Err(DivaError::WorkerPanicked { detail }) => {
-                panic_detail = Some(detail);
+                if panic_detail.as_ref().is_none_or(|&(m, _)| winner < m) {
+                    panic_detail = Some((winner, detail));
+                }
             }
             Err(e) => {
                 let stronger =
@@ -225,7 +227,7 @@ where
     }
     // Members were lost to panics and nobody proved anything: degrade
     // to the fully-suppressed fallback rather than failing the caller.
-    if let Some(detail) = panic_detail {
+    if let Some((_, detail)) = panic_detail {
         root_span.set_attr("outcome", "degraded");
         root_span.end();
         return Diva::new(config.clone()).degraded_fallback(

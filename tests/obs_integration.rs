@@ -133,17 +133,19 @@ fn disabled_mode_overhead_smoke() {
     if std::env::var("SKIP_BENCH").as_deref() == Ok("1") {
         return;
     }
-    let best = |obs_for_rep: fn() -> Obs| {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Stopwatch::start();
-            run_with(obs_for_rep());
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
+    let time = |obs: Obs| {
+        let t = Stopwatch::start();
+        run_with(obs);
+        t.elapsed().as_secs_f64()
     };
-    let disabled = best(Obs::disabled);
-    let enabled = best(Obs::enabled);
+    // Best of 3 per mode, interleaved: the other tests in this binary
+    // run concurrently, so timing one mode's reps before the other's
+    // would charge their load to whichever mode ran first.
+    let (mut disabled, mut enabled) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        disabled = disabled.min(time(Obs::disabled()));
+        enabled = enabled.min(time(Obs::enabled()));
+    }
     // Debug builds are noisy; 1.5x is far above any plausible real
     // overhead yet still catches accidental hot-path work.
     assert!(
