@@ -542,7 +542,7 @@ struct LiveOverhead {
 /// workspace default) vs enabled with the default 100ms sampler
 /// attached — exactly the machinery `--stats-addr`/`--watch` wires
 /// up. The acceptance budget for the enabled path is < 1% overhead:
-/// publishing is one branch plus a relaxed store per assignment, and
+/// the search publishes one relaxed add per 256-assignment poll, and
 /// the sampler reads from its own thread.
 fn bench_live_overhead(rel: &Relation, k: usize) -> LiveOverhead {
     let sigma = diva_constraints::generators::proportional(rel, 5, 0.7, 20);

@@ -114,16 +114,17 @@ const COMMANDS: [(&str, &str); 8] = [
          \u{20}          [--portfolio N  race all strategies × N seeds, first win returns]\n\
          \u{20}          [--threads N  worker cap for --portfolio and the component pool]\n\
          \u{20}          [--no-decompose  force the monolithic solve (no component parallelism)]\n\
-         \u{20}          [--component-portfolio N  race all strategies on components of ≥ N nodes]\n\
          \u{20}          [--provenance FILE  write the decision-provenance log (json-lines):\n\
          \u{20}           one record per published group and per starred cell, plus the\n\
          \u{20}           per-constraint star attribution]\n\
          \u{20}          [--trace FILE  write a JSON-lines span trace of the run]\n\
          \u{20}          [--metrics FILE  write the aggregated metrics summary JSON]\n\
          \u{20}          [--flame FILE  write collapsed stacks (self-time weighted) for flamegraphs]\n\
-         \u{20}          [--profile  print self-time / critical-path / allocation report lines]\n\
+         \u{20}          [--profile  print self-time / allocation report lines]\n\
          \u{20}          [--deadline-ms N  wall-clock budget; exceeding it degrades gracefully]\n\
-         \u{20}          [--node-budget N  cap on explored search nodes before degrading]\n\
+         \u{20}          [--node-budget N  cap on explored search nodes before degrading;\n\
+         \u{20}           searches charge every 256 nodes, so a run degrades with at most\n\
+         \u{20}           N + 256 × concurrent searches explored]\n\
          \u{20}          [--repair-budget N  cap on repair attempts before degrading]\n\
          \u{20}          [--stats-addr HOST:PORT  serve live progress over HTTP (/metrics\n\
          \u{20}           Prometheus text, /stats.json summary schema); port 0 picks a free\n\
@@ -262,7 +263,7 @@ fn fmt_bytes(b: u64) -> String {
 }
 
 /// Prints the `--profile` analysis over a finished run's snapshot:
-/// top spans by self-time, the critical path, and allocation totals
+/// top spans by self-time and allocation totals
 /// (the last only when the counting allocator attributed memory —
 /// i.e. the default `alloc-profile` build).
 fn profile_report(reporter: &Reporter, obs: &Obs) {
@@ -276,9 +277,6 @@ fn profile_report(reporter: &Reporter, obs: &Obs) {
         .map(|s| format!("{} {:.3}s", s.name, s.self_us as f64 / 1e6))
         .collect();
     report!(reporter, "profile: self-time top: {}", top.join(", "));
-    let path = snap.critical_path();
-    let hops: Vec<&str> = path.iter().map(|h| h.name.as_str()).collect();
-    report!(reporter, "profile: critical path: {}", hops.join(" -> "));
     if let Some(total) = summaries.iter().find(|s| s.name == "diva.run").and_then(|s| s.alloc_bytes)
     {
         let phases: Vec<String> = summaries
@@ -464,13 +462,6 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
         })
         .transpose()?;
     let budget = parse_budget(opts)?;
-    let component_portfolio = opts
-        .get("component-portfolio")
-        .map(|v| match v.parse::<usize>() {
-            Ok(0) | Err(_) => Err("component-portfolio must be a positive node count".to_string()),
-            Ok(n) => Ok(n),
-        })
-        .transpose()?;
     let obs = obs_for(opts);
     let board = if live_requested(opts) {
         diva_obs::live::ProgressBoard::enabled()
@@ -493,7 +484,6 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
         threads,
         budget,
         decompose: !opts.contains_key("no-decompose"),
-        component_portfolio,
         obs: obs.clone(),
         board: board.clone(),
         provenance: provenance.clone(),

@@ -35,7 +35,11 @@ pub struct BudgetSpec {
     /// check — useful in tests.
     pub deadline: Option<Duration>,
     /// Cap on explored search nodes (assignment attempts of the
-    /// colouring search, charged at poll granularity).
+    /// colouring search). Each search charges its count every 256
+    /// attempts, so a cap of `N` degrades the run with between `N + 1`
+    /// and `N + 256 × concurrent searches` nodes explored. A search
+    /// that finishes between polls charges its remainder at exit;
+    /// that charge only trips the next search's entry poll.
     pub node_budget: Option<u64>,
     /// Cap on candidate-repair attempts
     /// ([`crate::CandidateSet::repair`] invocations).
@@ -110,7 +114,7 @@ impl Budget {
 
     /// Charges `n` explored nodes and checks the node cap and the
     /// deadline. Called from the search's poll points, so `n` is the
-    /// poll stride, not 1.
+    /// number of assignments tried since the previous poll, not 1.
     pub fn charge_nodes(&self, n: u64) -> Option<DegradeReason> {
         let total = self.nodes.fetch_add(n, Ordering::Relaxed).saturating_add(n);
         if let Some(cap) = self.spec.node_budget {
@@ -262,32 +266,44 @@ impl Outcome {
     }
 }
 
-/// Shared cross-thread run controls: the portfolio cancellation flag
-/// plus the armed budget (if any) that every member charges against.
+/// The one run-control handle: the cancellation token plus the armed
+/// budget (if any). Every layer that can stop a run — the pipeline's
+/// phase boundaries, the enumeration and anonymizer stop probes, the
+/// component solve, and the colouring search's poll points — asks the
+/// same `Controls`.
 ///
 /// [`crate::run_portfolio`] arms one budget for the whole portfolio
 /// and hands every member the same `Controls`, so the deadline is
 /// global — a member dequeued late does not get a fresh clock.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Controls {
-    cancel: Arc<AtomicBool>,
+    /// `None` for a plain [`crate::Diva::run`]: nothing outside the
+    /// run holds a token, so cancellation requests are no-ops.
+    cancel: Option<Arc<AtomicBool>>,
     budget: Option<Arc<Budget>>,
+}
+
+impl Default for Controls {
+    fn default() -> Self {
+        Self::new(None)
+    }
 }
 
 impl Controls {
     /// Fresh controls with an optional pre-armed budget.
     pub fn new(budget: Option<Arc<Budget>>) -> Self {
-        Self { cancel: Arc::new(AtomicBool::new(false)), budget }
+        Self::with_cancel(Arc::new(AtomicBool::new(false)), budget)
     }
 
     /// Controls wrapping an existing cancellation token.
     pub fn with_cancel(cancel: Arc<AtomicBool>, budget: Option<Arc<Budget>>) -> Self {
-        Self { cancel, budget }
+        Self { cancel: Some(cancel), budget }
     }
 
-    /// The cancellation token polled by the search.
-    pub fn cancel_flag(&self) -> &Arc<AtomicBool> {
-        &self.cancel
+    /// Controls without a cancellation token: the run can only stop on
+    /// its budget.
+    pub(crate) fn uncancellable(budget: Option<Arc<Budget>>) -> Self {
+        Self { cancel: None, budget }
     }
 
     /// The shared budget, if one is armed.
@@ -295,14 +311,46 @@ impl Controls {
         self.budget.as_ref()
     }
 
-    /// Requests cancellation (observed at the next poll point).
+    /// Requests cancellation (observed at the next poll point); a
+    /// no-op without a token.
     pub fn request_cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+        if let Some(cancel) = &self.cancel {
+            cancel.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
+        self.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// The phase-boundary deadline check ([`Budget::check_deadline`]);
+    /// `None` without a budget.
+    pub fn check_deadline(&self) -> Option<DegradeReason> {
+        self.budget.as_ref().and_then(|b| b.check_deadline())
+    }
+
+    /// The stop probe handed to enumeration and the anonymizer: the
+    /// deadline passed or cancellation was requested.
+    pub fn should_stop(&self) -> bool {
+        self.check_deadline().is_some() || self.is_cancelled()
+    }
+
+    /// Charges `n` explored nodes ([`Budget::charge_nodes`]); `None`
+    /// without a budget.
+    pub fn charge_nodes(&self, n: u64) -> Option<DegradeReason> {
+        self.budget.as_ref().and_then(|b| b.charge_nodes(n))
+    }
+
+    /// Charges one repair attempt ([`Budget::charge_repair`]); `None`
+    /// without a budget.
+    pub fn charge_repair(&self) -> Option<DegradeReason> {
+        self.budget.as_ref().and_then(|b| b.charge_repair())
+    }
+
+    /// The budget's consumption so far; `None` without a budget.
+    pub fn usage(&self) -> Option<BudgetUsage> {
+        self.budget.as_ref().map(|b| b.usage())
     }
 }
 

@@ -1,13 +1,10 @@
 //! The recursive colouring search (Algorithms 3 and 4 of the paper).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::budget::{Budget, DegradeReason};
+use crate::budget::{Controls, DegradeReason};
 use crate::candidates::CandidateSet;
 use crate::config::{DivaConfig, Strategy};
 use crate::error::DivaError;
@@ -82,20 +79,22 @@ pub struct Coloring<'a> {
     /// monolithic run.
     node_ids: Vec<u32>,
     stats: ColoringStats,
-    /// Portfolio cancellation token: when another member wins, the
-    /// search aborts with [`DivaError::Cancelled`] at the next poll
-    /// (every [`CANCEL_POLL_MASK`] + 1 assignment attempts).
-    cancel: Option<Arc<AtomicBool>>,
-    /// Resource budget checked at the same poll points; exhaustion
-    /// stops the search with the partial assignment instead of
-    /// unwinding it (see [`ColoringOutcome::degraded`]).
-    budget: Option<Arc<Budget>>,
+    /// The search's one node counter is `stats.assignments_tried`;
+    /// this is its value at the last poll, so the next poll charges
+    /// the budget and the live board with exactly the difference.
+    polled_at: u64,
+    /// Cancellation token and resource budget, asked at the poll
+    /// points: cancellation aborts with [`DivaError::Cancelled`],
+    /// exhaustion stops the search with the partial assignment instead
+    /// of unwinding it (see [`ColoringOutcome::degraded`]).
+    controls: Controls,
 }
 
-/// Cancellation is polled when `assignments_tried & CANCEL_POLL_MASK
-/// == 0` — cheap enough to leave the hot path unaffected, frequent
-/// enough that losing portfolio members exit promptly.
-const CANCEL_POLL_MASK: u64 = 0xFF;
+/// The search polls once `POLL_STRIDE` assignments have been tried
+/// since the last poll — cheap enough to leave the hot path
+/// unaffected, frequent enough that losing portfolio members exit
+/// promptly.
+const POLL_STRIDE: u64 = 256;
 
 /// Decorrelates the Basic strategy's candidate-order stream from its
 /// node-selection stream (both are keyed by the same (seed, node)).
@@ -176,8 +175,8 @@ impl<'a> Coloring<'a> {
             assignment: vec![None; graph.n_nodes()],
             node_ids: Vec::new(),
             stats: ColoringStats::default(),
-            cancel: None,
-            budget: None,
+            polled_at: 0,
+            controls: Controls::uncancellable(None),
         }
     }
 
@@ -199,35 +198,44 @@ impl<'a> Coloring<'a> {
         self.node_ids.get(node).map_or(node as u64, |&g| u64::from(g))
     }
 
-    /// Attaches a cancellation token (used by the parallel portfolio):
-    /// when the token is set, the search returns
-    /// [`DivaError::Cancelled`] instead of continuing.
-    pub fn with_cancel(mut self, token: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(token);
+    /// Runs the search under `controls`: its token cancels the search
+    /// with [`DivaError::Cancelled`], its budget is charged at the poll
+    /// points and, when exhausted, ends the search with the partial
+    /// assignment ([`ColoringOutcome::degraded`]).
+    pub fn with_controls(mut self, controls: &Controls) -> Self {
+        self.controls = controls.clone();
         self
     }
 
-    /// Attaches an armed resource budget, charged at the poll points;
-    /// exhaustion ends the search with the partial assignment
-    /// ([`ColoringOutcome::degraded`]).
-    pub fn with_budget(mut self, budget: Arc<Budget>) -> Self {
-        self.budget = Some(budget);
-        self
+    /// Counts one assignment attempt and polls once a stride has
+    /// passed. Every increment of `assignments_tried` goes through
+    /// here, so no stride is skipped.
+    fn count_assignment(&mut self) -> Result<(), Stop> {
+        self.stats.assignments_tried += 1;
+        if self.stats.assignments_tried - self.polled_at >= POLL_STRIDE {
+            self.poll()?;
+        }
+        Ok(())
     }
 
-    fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|t| t.load(Ordering::Relaxed))
+    /// Charges the budget and publishes to the live board the
+    /// assignments tried since the last poll, returning the budget's
+    /// verdict.
+    fn flush_nodes(&mut self) -> Option<DegradeReason> {
+        let delta = self.stats.assignments_tried - self.polled_at;
+        self.polled_at = self.stats.assignments_tried;
+        self.config.board.add_nodes(delta);
+        self.controls.charge_nodes(delta)
     }
 
-    /// A poll point: injected slowdowns, then cancellation, then the
-    /// watchdog's escalation flag, then the budget (charged one poll
-    /// stride of explored nodes). Node counts are published to the
-    /// live board per assignment (not here) so a mid-run scrape sees
-    /// them move even on searches shorter than one poll stride.
-    fn poll(&self, charge: u64) -> Result<(), Stop> {
+    /// A poll point: injected slowdowns, the node charge, then
+    /// cancellation, the watchdog's escalation flag, and the budget's
+    /// verdict, in that order.
+    fn poll(&mut self) -> Result<(), Stop> {
         #[cfg(feature = "fault-inject")]
         self.config.faults.at_poll();
-        if self.is_cancelled() {
+        let exhausted = self.flush_nodes();
+        if self.controls.is_cancelled() {
             return Err(Stop::Cancel);
         }
         if self.config.board.degrade_requested() {
@@ -235,12 +243,7 @@ impl<'a> Coloring<'a> {
                 nodes: self.stats.assignments_tried,
             }));
         }
-        if let Some(budget) = &self.budget {
-            if let Some(reason) = budget.charge_nodes(charge) {
-                return Err(Stop::Degrade(reason));
-            }
-        }
-        Ok(())
+        exhausted.map_or(Ok(()), |reason| Err(Stop::Degrade(reason)))
     }
 
     /// Runs the search to completion. The search runs under a
@@ -254,6 +257,11 @@ impl<'a> Coloring<'a> {
             .attr("strategy", self.config.strategy.name())
             .attr("nodes", self.graph.n_nodes());
         let result = self.solve_impl();
+        // Accounting only: charge the remainder since the last poll so
+        // the budget and the board end equal to `assignments_tried`.
+        // The verdict stands; a later search's entry poll sees the
+        // charge.
+        self.flush_nodes();
         span.set_attr("ok", result.is_ok());
         if let Ok(out) = &result {
             if let Some(reason) = &out.degraded {
@@ -270,7 +278,7 @@ impl<'a> Coloring<'a> {
         // deadline already passed, and the injected-slowdown fault must
         // fire at least once even for searches that finish in fewer
         // assignments than the poll stride.
-        if let Err(stop) = self.poll(0) {
+        if let Err(stop) = self.poll() {
             return self.stopped(stop);
         }
         // Fail fast on nodes with no candidates at all: the constraint
@@ -370,11 +378,7 @@ impl<'a> Coloring<'a> {
             order.shuffle(&mut rng);
         }
         for ci in order {
-            self.stats.assignments_tried += 1;
-            self.config.board.add_nodes(1);
-            if self.stats.assignments_tried & CANCEL_POLL_MASK == 0 {
-                self.poll(CANCEL_POLL_MASK + 1)?;
-            }
+            self.count_assignment()?;
             let clustering = &self.candidates[v].candidates[ci];
             // IsConsistent + commit in one step. If the literal
             // candidate is blocked (typically because neighbours own
@@ -388,10 +392,8 @@ impl<'a> Coloring<'a> {
                     }
                     self.stats.repair_attempts += 1;
                     self.config.board.add_repairs(1);
-                    if let Some(budget) = &self.budget {
-                        if let Some(reason) = budget.charge_repair() {
-                            return Err(Stop::Degrade(reason));
-                        }
+                    if let Some(reason) = self.controls.charge_repair() {
+                        return Err(Stop::Degrade(reason));
                     }
                     #[cfg(feature = "fault-inject")]
                     if self.config.faults.repair_fails(self.stats.repair_attempts) {
@@ -405,8 +407,7 @@ impl<'a> Coloring<'a> {
                         continue;
                     };
                     self.stats.repair_successes += 1;
-                    self.stats.assignments_tried += 1;
-                    self.config.board.add_nodes(1);
+                    self.count_assignment()?;
                     match self.state.try_assign(&repaired, self.graph) {
                         Some(t) => t,
                         None => continue,
@@ -515,6 +516,7 @@ mod tests {
     use super::*;
     use diva_constraints::{Constraint, ConstraintSet};
     use diva_relation::fixtures::paper_table1;
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig, TestCaseError};
 
     fn solve_with(
         sigma: &[Constraint],
@@ -643,7 +645,7 @@ mod tests {
         let budget = crate::BudgetSpec::with_deadline(std::time::Duration::ZERO).arm().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(1));
         let out = Coloring::new(&graph, &candidates, uppers, &labels, &config)
-            .with_budget(budget)
+            .with_controls(&Controls::new(Some(budget)))
             .solve()
             .expect("budget exhaustion degrades, it does not error");
         // The entry poll trips before any assignment: empty prefix.
@@ -653,7 +655,7 @@ mod tests {
 
     #[test]
     fn generous_budget_is_identical_to_unbudgeted() {
-        let solve_budgeted = |budget: Option<Arc<Budget>>| {
+        let solve_budgeted = |budget: Option<std::sync::Arc<crate::Budget>>| {
             let r = paper_table1();
             let set = ConstraintSet::bind(&example_sigma(), &r).unwrap();
             let graph = ConstraintGraph::build(&set);
@@ -666,11 +668,10 @@ mod tests {
                 .collect();
             let uppers = set.constraints().iter().map(|c| c.upper).collect();
             let labels: Vec<String> = set.constraints().iter().map(|c| c.label()).collect();
-            let mut coloring = Coloring::new(&graph, &candidates, uppers, &labels, &config);
-            if let Some(b) = budget {
-                coloring = coloring.with_budget(b);
-            }
-            coloring.solve().unwrap()
+            Coloring::new(&graph, &candidates, uppers, &labels, &config)
+                .with_controls(&Controls::new(budget))
+                .solve()
+                .unwrap()
         };
         let plain = solve_budgeted(None);
         let budgeted = solve_budgeted(crate::BudgetSpec::with_node_budget(u64::MAX / 2).arm());
@@ -708,5 +709,67 @@ mod tests {
         let labels: Vec<String> = set.constraints().iter().map(|c| c.label()).collect();
         let res = Coloring::new(&graph, &candidates, uppers, &labels, &config).solve();
         assert!(res.is_err());
+    }
+
+    /// A search with 4804 assignments and 586 successful repairs, four
+    /// of whose retries land exactly on a 256-assignment stride
+    /// boundary.
+    fn stride_crossing_search(budget: crate::BudgetSpec) -> (ColoringOutcome, Controls) {
+        let r = diva_datagen::medical(600, 13);
+        let sigma = diva_constraints::generators::with_conflict_rate(&r, 6, 0.4, 5, 3);
+        let set = ConstraintSet::bind(&sigma, &r).unwrap();
+        let graph = ConstraintGraph::build(&set);
+        let config = DivaConfig { k: 5, strategy: Strategy::MinChoice, ..DivaConfig::default() };
+        let candidates: Vec<CandidateSet> = set
+            .constraints()
+            .iter()
+            .map(|c| CandidateSet::enumerate(&r, c, 5, config.max_candidates, None))
+            .collect();
+        let uppers = set.constraints().iter().map(|c| c.upper).collect();
+        let labels: Vec<String> = set.constraints().iter().map(|c| c.label()).collect();
+        let controls = Controls::new(budget.arm());
+        let out = Coloring::new(&graph, &candidates, uppers, &labels, &config)
+            .with_controls(&controls)
+            .solve()
+            .expect("satisfiable");
+        (out, controls)
+    }
+
+    #[test]
+    fn budget_charges_equal_assignments_tried_across_repair_strides() {
+        let (out, controls) = stride_crossing_search(crate::BudgetSpec::with_node_budget(1 << 40));
+        assert!(out.degraded.is_none());
+        assert!(out.stats.repair_successes > 0);
+        assert!(out.stats.assignments_tried > 4 * POLL_STRIDE);
+        let usage = controls.usage().expect("armed");
+        assert_eq!(usage.nodes_explored, out.stats.assignments_tried);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A node budget `N` stops one search with `N < explored ≤ N +
+        /// POLL_STRIDE`, and the charge equals the search's own count.
+        #[test]
+        fn node_budget_trips_within_one_stride(cap in 0u64..4_000) {
+            let (out, controls) = stride_crossing_search(crate::BudgetSpec::with_node_budget(cap));
+            let explored = match out.degraded {
+                Some(DegradeReason::NodeBudgetExhausted { explored, cap: c }) => {
+                    prop_assert_eq!(c, cap);
+                    explored
+                }
+                other => {
+                    return Err(TestCaseError::fail(format!(
+                        "expected a node-budget stop, got {other:?}"
+                    )))
+                }
+            };
+            prop_assert!(
+                cap < explored && explored <= cap + POLL_STRIDE,
+                "cap {cap}, explored {explored}"
+            );
+            prop_assert_eq!(explored, out.stats.assignments_tried);
+            prop_assert_eq!(controls.usage().unwrap().nodes_explored, explored);
+        }
     }
 }

@@ -103,15 +103,6 @@ pub struct DivaConfig {
     /// the historical monolithic solve (the differential suite's
     /// reference path).
     pub decompose: bool,
-    /// Node-count threshold at which a single hard component is solved
-    /// by an inner strategy portfolio (the three strategies racing on
-    /// that component, first valid colouring wins) instead of the
-    /// configured strategy alone. `None` (the default) disables the
-    /// inner portfolio; racing trades the byte-for-byte determinism of
-    /// the single-strategy pool for robustness on adversarial
-    /// components, exactly like [`crate::run_portfolio`] at whole-run
-    /// scope.
-    pub component_portfolio: Option<usize>,
     /// Observability handle: spans, counters, and histograms emitted
     /// by the pipeline land here. The default is the disabled handle
     /// ([`diva_obs::Obs::disabled`]), which records nothing and costs
@@ -167,7 +158,6 @@ impl Default for DivaConfig {
             enable_repair: true,
             threads: None,
             decompose: true,
-            component_portfolio: None,
             obs: diva_obs::Obs::disabled(),
             budget: crate::BudgetSpec::default(),
             board: diva_obs::live::ProgressBoard::disabled(),
@@ -260,13 +250,6 @@ impl DivaConfig {
         self
     }
 
-    /// Builder-style inner-portfolio threshold (see
-    /// [`DivaConfig::component_portfolio`]).
-    pub fn component_portfolio(mut self, threshold: Option<usize>) -> Self {
-        self.component_portfolio = threshold;
-        self
-    }
-
     /// Builder-style worker-thread cap; use at construction so an
     /// out-of-range value is rejected up front.
     pub fn threads(mut self, threads: Option<usize>) -> Result<Self, crate::DivaError> {
@@ -322,10 +305,8 @@ mod tests {
         assert_eq!(c.strategy, Strategy::Basic);
         assert_eq!(c.seed, 9);
         assert!(c.decompose, "decomposition is on by default");
-        assert!(c.component_portfolio.is_none());
-        let c = c.decompose(false).component_portfolio(Some(8));
+        let c = c.decompose(false);
         assert!(!c.decompose);
-        assert_eq!(c.component_portfolio, Some(8));
     }
 
     #[test]

@@ -24,15 +24,12 @@
 //! differential suite (`tests/differential.rs`) pins this at every
 //! thread count. See `DESIGN.md` §12 for the invariants.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use diva_relation::RowId;
 
-use crate::budget::Budget;
+use crate::budget::Controls;
 use crate::candidates::CandidateSet;
 use crate::coloring::{Coloring, ColoringOutcome, ColoringStats};
-use crate::config::{DivaConfig, Strategy};
+use crate::config::DivaConfig;
 use crate::error::DivaError;
 use crate::graph::ConstraintGraph;
 use crate::pool;
@@ -97,27 +94,20 @@ struct SubProblem {
 /// Component errors rank `NoDiverseClustering` (an unsatisfiability
 /// proof from the smallest-indexed failing component) above other
 /// errors above `Cancelled`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_clustering(
     graph: &ConstraintGraph,
     candidates: Vec<CandidateSet>,
     uppers: &[usize],
     labels: &[String],
     config: &DivaConfig,
-    cancel: Option<&Arc<AtomicBool>>,
-    budget: Option<&Arc<Budget>>,
+    controls: &Controls,
 ) -> Result<ColoringOutcome, DivaError> {
     let comps = if config.decompose { components(graph) } else { Vec::new() };
     if comps.len() <= 1 {
         config.board.set_components_total(1);
-        let mut coloring = Coloring::new(graph, &candidates, uppers.to_vec(), labels, config);
-        if let Some(token) = cancel {
-            coloring = coloring.with_cancel(Arc::clone(token));
-        }
-        if let Some(b) = budget {
-            coloring = coloring.with_budget(Arc::clone(b));
-        }
-        let result = coloring.solve();
+        let result = Coloring::new(graph, &candidates, uppers.to_vec(), labels, config)
+            .with_controls(controls)
+            .solve();
         config.board.component_finished();
         return result;
     }
@@ -127,19 +117,17 @@ pub(crate) fn solve_clustering(
     // observed before the unsatisfiability fail-fast, in that order.
     #[cfg(feature = "fault-inject")]
     config.faults.at_poll();
-    if cancel.is_some_and(|t| t.load(Ordering::Relaxed)) {
+    if controls.is_cancelled() {
         return Err(DivaError::Cancelled);
     }
-    if let Some(b) = budget {
-        if let Some(reason) = b.charge_nodes(0) {
-            return Ok(ColoringOutcome {
-                clusters: Vec::new(),
-                assignment: Vec::new(),
-                stats: ColoringStats::default(),
-                degraded: Some(reason),
-                owners: Vec::new(),
-            });
-        }
+    if let Some(reason) = controls.charge_nodes(0) {
+        return Ok(ColoringOutcome {
+            clusters: Vec::new(),
+            assignment: Vec::new(),
+            stats: ColoringStats::default(),
+            degraded: Some(reason),
+            owners: Vec::new(),
+        });
     }
     // Global fail-fast on empty candidate lists, in node order, so the
     // reported constraint matches the monolithic search's regardless
@@ -209,7 +197,11 @@ pub(crate) fn solve_clustering(
         if let Some(id) = span_id {
             comp_span = comp_span.with_parent(id);
         }
-        let result = solve_component(sub, config, cancel, budget);
+        let result =
+            Coloring::new(&sub.graph, &sub.candidates, sub.uppers.clone(), &sub.labels, config)
+                .with_node_ids(sub.nodes.clone())
+                .with_controls(controls)
+                .solve();
         comp_span.set_attr(
             "outcome",
             match &result {
@@ -304,112 +296,6 @@ pub(crate) fn solve_clustering(
     verdict
 }
 
-/// Solves one compact component: the configured strategy alone, or —
-/// for components at least [`DivaConfig::component_portfolio`] nodes
-/// large — an inner race of all three strategies.
-fn solve_component(
-    sub: &SubProblem,
-    config: &DivaConfig,
-    cancel: Option<&Arc<AtomicBool>>,
-    budget: Option<&Arc<Budget>>,
-) -> Result<ColoringOutcome, DivaError> {
-    if config.component_portfolio.is_some_and(|t| sub.graph.n_nodes() >= t) {
-        return race_component(sub, config, cancel, budget);
-    }
-    let mut coloring =
-        Coloring::new(&sub.graph, &sub.candidates, sub.uppers.clone(), &sub.labels, config)
-            .with_node_ids(sub.nodes.clone());
-    if let Some(token) = cancel {
-        coloring = coloring.with_cancel(Arc::clone(token));
-    }
-    if let Some(b) = budget {
-        coloring = coloring.with_budget(Arc::clone(b));
-    }
-    coloring.solve()
-}
-
-/// The inner per-component portfolio: all three strategies race over
-/// the *shared* compact sub-problem (candidates are already
-/// enumerated), the first complete colouring cancels the others via
-/// the race token.
-///
-/// Verdict ranking is deterministic in member order ([`Strategy::all`]):
-/// exact success > an unsatisfiability proof > a degraded success >
-/// any other error > cancellation. The caller's own cancellation is
-/// checked at member entry; mid-race it only takes effect at the next
-/// component boundary (racing trades that granularity, and byte
-/// determinism, for robustness — see [`DivaConfig::component_portfolio`]).
-fn race_component(
-    sub: &SubProblem,
-    config: &DivaConfig,
-    cancel: Option<&Arc<AtomicBool>>,
-    budget: Option<&Arc<Budget>>,
-) -> Result<ColoringOutcome, DivaError> {
-    let members: Vec<_> = Strategy::all()
-        .into_iter()
-        .map(|strategy| {
-            let member_config = DivaConfig { strategy, ..config.clone() };
-            move |race_token: Arc<AtomicBool>| {
-                if cancel.is_some_and(|t| t.load(Ordering::Relaxed)) {
-                    return Err(DivaError::Cancelled);
-                }
-                let mut coloring = Coloring::new(
-                    &sub.graph,
-                    &sub.candidates,
-                    sub.uppers.clone(),
-                    &sub.labels,
-                    &member_config,
-                )
-                .with_node_ids(sub.nodes.clone())
-                .with_cancel(race_token);
-                if let Some(b) = budget {
-                    coloring = coloring.with_budget(Arc::clone(b));
-                }
-                coloring.solve()
-            }
-        })
-        .collect();
-    let mut exact: Option<ColoringOutcome> = None;
-    let mut degraded: Option<ColoringOutcome> = None;
-    let mut unsat: Option<DivaError> = None;
-    let mut fallback: Option<DivaError> = None;
-    for out in pool::race(members).into_iter().flatten() {
-        match out {
-            Ok(o) if o.degraded.is_none() => {
-                if exact.is_none() {
-                    exact = Some(o);
-                }
-            }
-            Ok(o) => {
-                if degraded.is_none() {
-                    degraded = Some(o);
-                }
-            }
-            Err(e @ DivaError::NoDiverseClustering { .. }) => {
-                if unsat.is_none() {
-                    unsat = Some(e);
-                }
-            }
-            Err(DivaError::Cancelled) => {}
-            Err(e) => {
-                if fallback.is_none() {
-                    fallback = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(o) = exact {
-        return Ok(o);
-    }
-    if let Some(e) = unsat {
-        return Err(e);
-    }
-    if let Some(o) = degraded {
-        return Ok(o);
-    }
-    Err(fallback.unwrap_or(DivaError::Cancelled))
-}
-
 /// Field-wise sum of search counters; component counters are additive
 /// because each component explores a disjoint part of the search tree.
 fn add_stats(into: &mut ColoringStats, from: &ColoringStats) {
@@ -425,6 +311,7 @@ fn add_stats(into: &mut ColoringStats, from: &ColoringStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Strategy;
     use diva_constraints::{Constraint, ConstraintSet};
     use diva_relation::fixtures::paper_table1;
     use diva_relation::Relation;
@@ -491,7 +378,7 @@ mod tests {
     fn solve(config: &DivaConfig, sigma: &[Constraint]) -> Result<ColoringOutcome, DivaError> {
         let r = paper_table1();
         let (graph, candidates, uppers, labels) = problem(&r, sigma, config);
-        solve_clustering(&graph, candidates, &uppers, &labels, config, None, None)
+        solve_clustering(&graph, candidates, &uppers, &labels, config, &Controls::default())
     }
 
     #[test]
@@ -537,35 +424,22 @@ mod tests {
         let r = paper_table1();
         let config = DivaConfig::with_k(2);
         let (graph, candidates, uppers, labels) = problem(&r, &split_sigma(), &config);
-        let out =
-            solve_clustering(&graph, candidates, &uppers, &labels, &config, None, Some(&budget))
-                .expect("deadline exhaustion degrades, it does not error");
+        let controls = Controls::new(Some(budget));
+        let out = solve_clustering(&graph, candidates, &uppers, &labels, &config, &controls)
+            .expect("deadline exhaustion degrades, it does not error");
         assert!(out.clusters.is_empty());
         assert!(out.degraded.is_some());
     }
 
     #[test]
     fn pre_set_cancel_token_cancels() {
-        let token = Arc::new(AtomicBool::new(true));
+        let controls = Controls::default();
+        controls.request_cancel();
         let r = paper_table1();
         let config = DivaConfig::with_k(2);
         let (graph, candidates, uppers, labels) = problem(&r, &split_sigma(), &config);
         let err =
-            solve_clustering(&graph, candidates, &uppers, &labels, &config, Some(&token), None)
-                .unwrap_err();
+            solve_clustering(&graph, candidates, &uppers, &labels, &config, &controls).unwrap_err();
         assert_eq!(err, DivaError::Cancelled);
-    }
-
-    #[test]
-    fn inner_portfolio_still_solves_components() {
-        // Threshold 1: every component races all three strategies; any
-        // complete colouring is a valid clustering even though the
-        // winner is timing-dependent.
-        let config = DivaConfig::with_k(2).component_portfolio(Some(1));
-        let out = solve(&config, &split_sigma()).unwrap();
-        assert!(out.degraded.is_none());
-        assert!(!out.clusters.is_empty());
-        let covered: usize = out.clusters.iter().map(Vec::len).sum();
-        assert!(covered >= 4, "African + Vancouver minimums");
     }
 }

@@ -1,8 +1,6 @@
 //! The DIVA pipeline (Algorithm 1): DiverseClustering → Suppress →
 //! Anonymize → Integrate.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use diva_anonymize::{
@@ -15,13 +13,13 @@ use diva_relation::{is_k_anonymous, Relation, RowId, STAR_CODE};
 use diva_obs::provenance::{Cause, GroupOrigin, Provenance};
 use diva_obs::{AllocDelta, SpanClose};
 
-use crate::budget::{Budget, BudgetUsage, Controls, DegradeReason, Outcome};
+use crate::budget::{BudgetUsage, Controls, DegradeReason, Outcome};
 use crate::candidates::CandidateSet;
 use crate::coloring::ColoringStats;
 use crate::config::{DivaConfig, Strategy};
 use crate::error::DivaError;
 use crate::graph::ConstraintGraph;
-use crate::integrate::integrate;
+use crate::integrate::integrate_traced;
 
 /// Counters and timings of a DIVA run.
 ///
@@ -190,46 +188,24 @@ impl Diva {
     /// Solves the (k, Σ)-anonymization problem for `rel`. With a
     /// configured [`DivaConfig::budget`], exhaustion returns the
     /// degraded-mode result ([`Outcome::Degraded`]) instead of an
-    /// error.
+    /// error. Nothing outside the run can cancel it.
     pub fn run(&self, rel: &Relation, sigma: &[Constraint]) -> Result<DivaResult, DivaError> {
-        self.run_inner(rel, sigma, None, self.config.budget.arm())
+        self.run_with(rel, sigma, &Controls::uncancellable(self.config.budget.arm()))
     }
 
-    /// [`Diva::run`] with a cancellation token: when `cancel` is set
-    /// (by a winning portfolio sibling), the run aborts with
-    /// [`DivaError::Cancelled`] at the next poll point or phase
-    /// boundary instead of finishing its search.
-    pub fn run_cancellable(
-        &self,
-        rel: &Relation,
-        sigma: &[Constraint],
-        cancel: &Arc<AtomicBool>,
-    ) -> Result<DivaResult, DivaError> {
-        self.run_inner(rel, sigma, Some(cancel), self.config.budget.arm())
-    }
-
-    /// [`Diva::run`] under shared [`Controls`]: the portfolio entry
-    /// point, where the cancellation token and the (already-armed,
-    /// globally shared) budget both come from the caller.
-    pub fn run_controlled(
+    /// [`Diva::run`] under the caller's [`Controls`]. Cancelling them
+    /// aborts the run with [`DivaError::Cancelled`] at the next poll
+    /// point or phase boundary. Their armed budget bounds the run in
+    /// place of [`DivaConfig::budget`], so the portfolio can share one
+    /// budget across its members.
+    pub fn run_with(
         &self,
         rel: &Relation,
         sigma: &[Constraint],
         controls: &Controls,
     ) -> Result<DivaResult, DivaError> {
-        let budget = controls.budget().cloned().or_else(|| self.config.budget.arm());
-        self.run_inner(rel, sigma, Some(controls.cancel_flag()), budget)
-    }
-
-    fn run_inner(
-        &self,
-        rel: &Relation,
-        sigma: &[Constraint],
-        cancel: Option<&Arc<AtomicBool>>,
-        budget: Option<Arc<Budget>>,
-    ) -> Result<DivaResult, DivaError> {
         let obs = &self.config.obs;
-        let mut run_span = obs
+        let run_span = obs
             .span("diva.run")
             .attr("rows", rel.n_rows())
             .attr("k", self.config.k)
@@ -239,8 +215,7 @@ impl Diva {
             return Err(DivaError::InvalidK);
         }
         self.config.validate()?;
-        let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-        if cancelled() {
+        if controls.is_cancelled() {
             return Err(DivaError::Cancelled);
         }
         let set = ConstraintSet::bind(sigma, rel)?;
@@ -254,16 +229,24 @@ impl Diva {
                 set.constraints().iter().map(|c| c.label()).collect(),
             );
         }
-        if let Some(b) = &budget {
+        if let Some(b) = controls.budget() {
             board.set_budget_limits(b.spec().node_budget, b.spec().deadline);
         }
         let mut stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
+        // Every exhaustion site hands its clustered-so-far prefix to
+        // the degraded mode and finishes the run there.
+        let degrade = |partial: Vec<Vec<RowId>>,
+                       reason: DegradeReason,
+                       stats: RunStats,
+                       run_span: diva_obs::Span| {
+            let out = self.degraded_result(rel, &set, partial, reason, stats)?;
+            Ok(self.finish(run_span, controls.usage(), out))
+        };
         // Phase-boundary deadline checks are cheap (one clock read);
         // the finer-grained node/repair charging happens inside the
         // search's poll points.
-        let deadline_hit = |b: &Option<Arc<Budget>>| b.as_ref().and_then(|b| b.check_deadline());
-        if let Some(reason) = deadline_hit(&budget) {
-            return self.degraded_result(rel, &set, Vec::new(), reason, stats, run_span, &budget);
+        if let Some(reason) = controls.check_deadline() {
+            return degrade(Vec::new(), reason, stats, run_span);
         }
 
         // --- DiverseClustering (Algorithm 3). ---
@@ -285,7 +268,7 @@ impl Diva {
         // token) reach inside it via the stop probe; the search's entry
         // poll then converts the fired probe into a degradation or
         // cancellation.
-        let stop = || deadline_hit(&budget).is_some() || cancelled();
+        let stop = || controls.should_stop();
         let enumerated =
             crate::pool::run_tasks(set.constraints(), self.config.worker_cap(), |_, c| {
                 Ok(CandidateSet::enumerate_interruptible(
@@ -318,8 +301,7 @@ impl Diva {
             &uppers,
             &labels,
             &self.config,
-            cancel,
-            budget.as_ref(),
+            controls,
         )?;
         stats.coloring = outcome.stats.clone();
         let search_degraded = outcome.degraded;
@@ -341,7 +323,7 @@ impl Diva {
         stats.t_clustering = close.dur;
         note_alloc(&mut stats, &close, |p| &mut p.clustering);
         if let Some(reason) = search_degraded {
-            return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
+            return degrade(s_sigma, reason, stats, run_span);
         }
         // An exact (non-degraded) colouring satisfies every bound
         // constraint by construction.
@@ -356,16 +338,19 @@ impl Diva {
         }
         let rest: Vec<RowId> = (0..rel.n_rows()).filter(|&r| !covered[r]).collect();
         #[cfg(feature = "fault-inject")]
-        self.config.faults.at_phase("clustering", cancel);
-        if cancelled() {
+        self.config.faults.at_phase("clustering", controls);
+        if controls.is_cancelled() {
             return Err(DivaError::Cancelled);
         }
-        if let Some(reason) = deadline_hit(&budget) {
-            return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
+        if let Some(reason) = controls.check_deadline() {
+            return degrade(s_sigma, reason, stats, run_span);
         }
 
         // --- Anonymize + Integrate. ---
-        if !rest.is_empty() && rest.len() < self.config.k {
+        // The fold path's Integrate runs untraced: its repairs are not
+        // recorded in the provenance log.
+        let untraced = Provenance::disabled();
+        let (r_sigma, r_k, int_prov, k_gids) = if !rest.is_empty() && rest.len() < self.config.k {
             // Fewer residual tuples than k: no k-anonymous R_k exists.
             // Fold them into an existing S_Σ cluster if some choice
             // keeps Σ satisfied (checked exhaustively), else fail.
@@ -400,153 +385,128 @@ impl Diva {
                     |ci| if ci == fold_host { GroupOrigin::Fold } else { GroupOrigin::Sigma },
                 );
             }
-            board.set_phase(diva_obs::live::Phase::Integrate);
-            let int_span = obs.span("diva.integrate");
-            let out = integrate(&folded, None, &set)?;
-            #[cfg(feature = "strict-invariants")]
-            check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
-            stats.integrate_repairs = out.repairs;
-            obs.counter("integrate.repairs").add(out.repairs as u64);
-            let close = int_span.end_profiled();
-            stats.t_integrate = close.dur;
-            note_alloc(&mut stats, &close, |p| &mut p.integrate);
-            run_span.set_attr("stars", out.relation.star_count());
-            run_span.set_attr("outcome", "exact");
-            stats.budget = budget.as_ref().map(|b| b.usage());
-            stats.attribution = prov.attribution();
-            let close = run_span.end_profiled();
-            stats.t_total = close.dur;
-            note_alloc(&mut stats, &close, |p| &mut p.total);
-            board.set_phase(diva_obs::live::Phase::Done);
-            return Ok(DivaResult {
-                relation: out.relation,
-                groups: out.groups,
-                source_rows: out.source_rows,
-                stats,
-                outcome: Outcome::Exact,
-            });
-        }
-
-        board.set_phase(diva_obs::live::Phase::Suppress);
-        let suppress_span = obs.span("diva.suppress").attr("clusters", s_sigma.len());
-        let r_sigma = suppress_clustering(rel, &s_sigma);
-        #[cfg(feature = "strict-invariants")]
-        check_partition("Suppress", &r_sigma.groups, r_sigma.relation.n_rows(), true)?;
-        let close = suppress_span.end_profiled();
-        stats.t_suppress = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.suppress);
-        if cancelled() {
-            return Err(DivaError::Cancelled);
-        }
-        if let Some(reason) = deadline_hit(&budget) {
-            return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-        }
-        board.set_phase(diva_obs::live::Phase::Anonymize);
-        let mut anon_span = obs.span("diva.anonymize").attr("residual_rows", rest.len());
-        // Kept alongside `r_k` for provenance: the input clusters the
-        // suppressed groups came from, and which of them absorbed a
-        // sibling during ℓ-diversity enforcement.
-        let mut rk_clusters: Vec<Vec<RowId>> = Vec::new();
-        let mut ldiv_merged: Vec<bool> = Vec::new();
-        let r_k: Option<Suppressed> = if rest.is_empty() {
-            None
+            (folded, None, &untraced, Vec::new())
         } else {
-            // The anonymizer's clustering is the pipeline's other long
-            // uninterruptible stretch (k-member is O(n·cap) over the
-            // residual); the stop probe reaches inside it, and an
-            // abandoned clustering degrades with the clustered prefix.
-            let Some(mut clusters) = cluster_observed_interruptible(
-                self.anonymizer.as_ref(),
-                rel,
-                &rest,
-                self.config.k,
-                obs,
-                &stop,
-            ) else {
-                let close = anon_span.end_profiled();
-                stats.t_anonymize = close.dur;
-                note_alloc(&mut stats, &close, |p| &mut p.anonymize);
-                if cancelled() {
-                    return Err(DivaError::Cancelled);
-                }
-                let Some(reason) = deadline_hit(&budget) else {
-                    // The probe only fires on cancellation or deadline;
-                    // both are sticky, so this is unreachable.
-                    return Err(DivaError::Cancelled);
-                };
-                return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-            };
-            if let Some(model) = self.config.diversity_model() {
-                let (merged, flags) =
-                    enforce_diversity_traced(rel, &clusters, &model).ok_or_else(|| {
-                        DivaError::PrivacyInfeasible {
-                            reason: format!(
-                                "residual tuples cannot satisfy {model}: even a single merged \
-                                 class fails the check"
-                            ),
-                        }
-                    })?;
-                clusters = merged;
-                ldiv_merged = flags;
-            }
+            board.set_phase(diva_obs::live::Phase::Suppress);
+            let suppress_span = obs.span("diva.suppress").attr("clusters", s_sigma.len());
+            let r_sigma = suppress_clustering(rel, &s_sigma);
             #[cfg(feature = "strict-invariants")]
-            {
-                check_partition("Anonymize", &clusters, rel.n_rows(), false)?;
-                let total: usize = clusters.iter().map(Vec::len).sum();
-                if total != rest.len() {
-                    return Err(inv(
-                        "Anonymize",
-                        format!("clusters cover {total} rows, residual has {}", rest.len()),
-                    ));
+            check_partition("Suppress", &r_sigma.groups, r_sigma.relation.n_rows(), true)?;
+            let close = suppress_span.end_profiled();
+            stats.t_suppress = close.dur;
+            note_alloc(&mut stats, &close, |p| &mut p.suppress);
+            if controls.is_cancelled() {
+                return Err(DivaError::Cancelled);
+            }
+            if let Some(reason) = controls.check_deadline() {
+                return degrade(s_sigma, reason, stats, run_span);
+            }
+            board.set_phase(diva_obs::live::Phase::Anonymize);
+            let mut anon_span = obs.span("diva.anonymize").attr("residual_rows", rest.len());
+            // Kept alongside `r_k` for provenance: the input clusters the
+            // suppressed groups came from, and which of them absorbed a
+            // sibling during ℓ-diversity enforcement.
+            let mut rk_clusters: Vec<Vec<RowId>> = Vec::new();
+            let mut ldiv_merged: Vec<bool> = Vec::new();
+            let r_k: Option<Suppressed> = if rest.is_empty() {
+                None
+            } else {
+                // The anonymizer's clustering is the pipeline's other long
+                // uninterruptible stretch (k-member is O(n·cap) over the
+                // residual); the stop probe reaches inside it, and an
+                // abandoned clustering degrades with the clustered prefix.
+                let Some(mut clusters) = cluster_observed_interruptible(
+                    self.anonymizer.as_ref(),
+                    rel,
+                    &rest,
+                    self.config.k,
+                    obs,
+                    &stop,
+                ) else {
+                    let close = anon_span.end_profiled();
+                    stats.t_anonymize = close.dur;
+                    note_alloc(&mut stats, &close, |p| &mut p.anonymize);
+                    if controls.is_cancelled() {
+                        return Err(DivaError::Cancelled);
+                    }
+                    let Some(reason) = controls.check_deadline() else {
+                        // The probe only fires on cancellation or deadline;
+                        // both are sticky, so this is unreachable.
+                        return Err(DivaError::Cancelled);
+                    };
+                    return degrade(s_sigma, reason, stats, run_span);
+                };
+                if let Some(model) = self.config.diversity_model() {
+                    let (merged, flags) = enforce_diversity_traced(rel, &clusters, &model)
+                        .ok_or_else(|| DivaError::PrivacyInfeasible {
+                            reason: format!(
+                                "residual tuples cannot satisfy {model}: even a single \
+                                     merged class fails the check"
+                            ),
+                        })?;
+                    clusters = merged;
+                    ldiv_merged = flags;
+                }
+                #[cfg(feature = "strict-invariants")]
+                {
+                    check_partition("Anonymize", &clusters, rel.n_rows(), false)?;
+                    let total: usize = clusters.iter().map(Vec::len).sum();
+                    if total != rest.len() {
+                        return Err(inv(
+                            "Anonymize",
+                            format!("clusters cover {total} rows, residual has {}", rest.len()),
+                        ));
+                    }
+                }
+                let rk = suppress_clustering(rel, &clusters);
+                rk_clusters = clusters;
+                Some(rk)
+            };
+            anon_span.set_attr("groups", r_k.as_ref().map_or(0, |rk| rk.groups.len()));
+            let close = anon_span.end_profiled();
+            stats.t_anonymize = close.dur;
+            note_alloc(&mut stats, &close, |p| &mut p.anonymize);
+            if controls.is_cancelled() {
+                return Err(DivaError::Cancelled);
+            }
+            if let Some(reason) = controls.check_deadline() {
+                return degrade(s_sigma, reason, stats, run_span);
+            }
+
+            // Past the last degrade checkpoint: the run is committed to the
+            // exact path, so the published groups and their stars can be
+            // recorded (recording earlier would leave stale records behind
+            // a later degrade).
+            let mut k_gids: Vec<u64> = Vec::new();
+            if prov.is_enabled() {
+                record_suppressed_groups(
+                    prov,
+                    &r_sigma,
+                    &s_sigma,
+                    |ci| sigma_owners.get(ci).cloned().unwrap_or_default(),
+                    |_| GroupOrigin::Sigma,
+                );
+                if let Some(rk) = &r_k {
+                    k_gids = record_suppressed_groups(
+                        prov,
+                        rk,
+                        &rk_clusters,
+                        |_| Vec::new(),
+                        |ci| {
+                            if ldiv_merged.get(ci).copied().unwrap_or(false) {
+                                GroupOrigin::DiversityMerge
+                            } else {
+                                GroupOrigin::KMember
+                            }
+                        },
+                    );
                 }
             }
-            let rk = suppress_clustering(rel, &clusters);
-            rk_clusters = clusters;
-            Some(rk)
+            (r_sigma, r_k, prov, k_gids)
         };
-        anon_span.set_attr("groups", r_k.as_ref().map_or(0, |rk| rk.groups.len()));
-        let close = anon_span.end_profiled();
-        stats.t_anonymize = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.anonymize);
-        if cancelled() {
-            return Err(DivaError::Cancelled);
-        }
-        if let Some(reason) = deadline_hit(&budget) {
-            return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-        }
-
-        // Past the last degrade checkpoint: the run is committed to the
-        // exact path, so the published groups and their stars can be
-        // recorded (recording earlier would leave stale records behind
-        // a later degrade).
-        let mut k_gids: Vec<u64> = Vec::new();
-        if prov.is_enabled() {
-            record_suppressed_groups(
-                prov,
-                &r_sigma,
-                &s_sigma,
-                |ci| sigma_owners.get(ci).cloned().unwrap_or_default(),
-                |_| GroupOrigin::Sigma,
-            );
-            if let Some(rk) = &r_k {
-                k_gids = record_suppressed_groups(
-                    prov,
-                    rk,
-                    &rk_clusters,
-                    |_| Vec::new(),
-                    |ci| {
-                        if ldiv_merged.get(ci).copied().unwrap_or(false) {
-                            GroupOrigin::DiversityMerge
-                        } else {
-                            GroupOrigin::KMember
-                        }
-                    },
-                );
-            }
-        }
         board.set_phase(diva_obs::live::Phase::Integrate);
         let int_span = obs.span("diva.integrate");
-        let out = crate::integrate::integrate_traced(&r_sigma, r_k.as_ref(), &set, prov, &k_gids)?;
+        let out = integrate_traced(&r_sigma, r_k.as_ref(), &set, int_prov, &k_gids)?;
         #[cfg(feature = "strict-invariants")]
         check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
         stats.integrate_repairs = out.repairs;
@@ -561,21 +521,41 @@ impl Diva {
             self.config.diversity_model().is_none_or(|m| m.holds(&out.relation)),
             "enforced diversity model must audit clean on the published table"
         );
-        run_span.set_attr("stars", out.relation.star_count());
-        run_span.set_attr("outcome", "exact");
-        stats.budget = budget.as_ref().map(|b| b.usage());
-        stats.attribution = prov.attribution();
-        let close = run_span.end_profiled();
-        stats.t_total = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.total);
-        board.set_phase(diva_obs::live::Phase::Done);
-        Ok(DivaResult {
+        let result = DivaResult {
             relation: out.relation,
             groups: out.groups,
             source_rows: out.source_rows,
             stats,
             outcome: Outcome::Exact,
-        })
+        };
+        Ok(self.finish(run_span, controls.usage(), result))
+    }
+
+    /// The run's one finishing tail, shared by the exact and degraded
+    /// paths: tags and closes `diva.run` (its duration becomes
+    /// `t_total`), records the budget usage and star attribution, and
+    /// publishes completion to the live board.
+    fn finish(
+        &self,
+        mut run_span: diva_obs::Span,
+        budget: Option<BudgetUsage>,
+        mut result: DivaResult,
+    ) -> DivaResult {
+        run_span.set_attr("stars", result.relation.star_count());
+        match &result.outcome {
+            Outcome::Exact => run_span.set_attr("outcome", "exact"),
+            Outcome::Degraded { reason } => {
+                run_span.set_attr("outcome", "degraded");
+                run_span.set_attr("degrade_reason", reason.kind());
+            }
+        }
+        result.stats.budget = budget;
+        result.stats.attribution = self.config.provenance.attribution();
+        let close = run_span.end_profiled();
+        result.stats.t_total = close.dur;
+        note_alloc(&mut result.stats, &close, |p| &mut p.total);
+        self.config.board.set_phase(diva_obs::live::Phase::Done);
+        result
     }
 
     /// Attempts to fold `rest` (fewer than `k` rows) into one of the
@@ -638,7 +618,8 @@ impl Diva {
             );
         }
         let stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
-        self.degraded_result(rel, &set, Vec::new(), reason, stats, run_span, &None)
+        let out = self.degraded_result(rel, &set, Vec::new(), reason, stats)?;
+        Ok(self.finish(run_span, None, out))
     }
 
     /// Builds the degraded-mode output (`DESIGN.md` §10) from the
@@ -657,12 +638,8 @@ impl Diva {
     ///
     /// The result is k-anonymous and a refinement of the input, but
     /// not suppression-minimal, and the ℓ-diversity extension is not
-    /// enforced. Every input row is still published exactly once.
-    //
-    // Takes the whole run context (stats, run span, budget) so every
-    // exhaustion site can hand off mid-run state in one call; grouping
-    // them into a carrier struct would just rename the argument list.
-    #[allow(clippy::too_many_arguments)]
+    /// enforced. Every input row is still published exactly once. The
+    /// caller closes the run with [`Diva::finish`].
     fn degraded_result(
         &self,
         rel: &Relation,
@@ -670,8 +647,6 @@ impl Diva {
         partial: Vec<Vec<RowId>>,
         reason: DegradeReason,
         mut stats: RunStats,
-        mut run_span: diva_obs::Span,
-        budget: &Option<Arc<Budget>>,
     ) -> Result<DivaResult, DivaError> {
         let obs = &self.config.obs;
         obs.counter(&format!("budget.exhausted.{}", reason.kind())).incr();
@@ -890,15 +865,6 @@ impl Diva {
         span.set_attr("voided_clusters", n_voided);
         span.set_attr("star_rows", star_src.len());
         note_alloc(&mut stats, &span.end_profiled(), |p| &mut p.degrade);
-        run_span.set_attr("stars", relation.star_count());
-        run_span.set_attr("outcome", "degraded");
-        run_span.set_attr("degrade_reason", reason.kind());
-        stats.budget = budget.as_ref().map(|b| b.usage());
-        stats.attribution = prov.attribution();
-        let close = run_span.end_profiled();
-        stats.t_total = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.total);
-        self.config.board.set_phase(diva_obs::live::Phase::Done);
         Ok(DivaResult {
             relation,
             groups,

@@ -58,7 +58,7 @@ pub fn run_portfolio(
     seeds_per_strategy: usize,
 ) -> Result<DivaResult, DivaError> {
     run_portfolio_with(rel, sigma, config, seeds_per_strategy, |member, rel, sigma, controls| {
-        Diva::new(member.clone()).run_controlled(rel, sigma, controls)
+        Diva::new(member.clone()).run_with(rel, sigma, controls)
     })
 }
 

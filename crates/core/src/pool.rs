@@ -24,7 +24,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::error::DivaError;
 use crate::parallel::panic_message;
@@ -93,54 +92,11 @@ where
     results
 }
 
-/// Races `runners` concurrently (one scoped thread each); the first to
-/// return `Ok` sets the shared race token it was handed, which the
-/// other members' searches poll and abandon on. Returns every
-/// member's result in member order (`None` only if a member's thread
-/// was lost, which contained panics make unreachable in practice).
-///
-/// This is the inner per-component portfolio: unlike
-/// [`crate::run_portfolio`], members share the already-enumerated
-/// candidate sets, and the caller — not wall-clock arrival — picks the
-/// winner from the returned list, so the choice among simultaneous
-/// finishers is deterministic.
-pub(crate) fn race<R, F>(runners: Vec<F>) -> Vec<Option<Result<R, DivaError>>>
-where
-    R: Send,
-    F: FnOnce(Arc<AtomicBool>) -> Result<R, DivaError> + Send,
-{
-    let token = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = runners
-            .into_iter()
-            .map(|f| {
-                let token = Arc::clone(&token);
-                scope.spawn(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| f(Arc::clone(&token))))
-                        .unwrap_or_else(|payload| {
-                            Err(DivaError::WorkerPanicked {
-                                detail: panic_message(payload.as_ref()),
-                            })
-                        });
-                    if out.is_ok() {
-                        token.store(true, Ordering::Relaxed);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().ok()).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
     use std::time::Duration;
-
-    /// A boxed [`race`] member, as the call sites build them.
-    type Runner<R> = Box<dyn FnOnce(Arc<AtomicBool>) -> Result<R, DivaError> + Send>;
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -198,34 +154,5 @@ mod tests {
     fn empty_task_list_is_a_no_op() {
         let results = run_tasks(&[] as &[usize], 4, |_, &t| Ok(t));
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn race_winner_cancels_losers() {
-        let runners: Vec<Runner<u32>> = vec![
-            Box::new(|_token| Ok(1)),
-            Box::new(|token: Arc<AtomicBool>| {
-                // A loser that spins until it observes the winner's
-                // token (bounded so a regression fails, not hangs).
-                for _ in 0..10_000 {
-                    if token.load(Ordering::Relaxed) {
-                        return Err(DivaError::Cancelled);
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Ok(2)
-            }),
-        ];
-        let outcomes = race(runners);
-        assert!(matches!(outcomes[0], Some(Ok(1))));
-        assert!(matches!(outcomes[1], Some(Err(DivaError::Cancelled))));
-    }
-
-    #[test]
-    fn race_contains_panics() {
-        let runners: Vec<Runner<u32>> = vec![Box::new(|_| panic!("boom")), Box::new(|_| Ok(7))];
-        let outcomes = race(runners);
-        assert!(matches!(outcomes[0], Some(Err(DivaError::WorkerPanicked { .. }))));
-        assert!(matches!(outcomes[1], Some(Ok(7))));
     }
 }

@@ -1,6 +1,6 @@
 //! Post-processing over a snapshot's span tree: self-time vs
-//! child-time, the critical path, and a collapsed-stack (folded)
-//! export for flamegraph tooling.
+//! child-time and a collapsed-stack (folded) export for flamegraph
+//! tooling.
 //!
 //! All functions are pure over `&[SpanRecord]` so they can run on a
 //! live [`Snapshot`](crate::Snapshot) or on spans re-parsed from a
@@ -11,12 +11,6 @@
 //!   microsecond rounding can make children sum slightly past the
 //!   parent). Summing self-times over a tree telescopes back to the
 //!   root's duration, up to that rounding.
-//! * **Critical path** starts at the longest root span and repeatedly
-//!   descends into the child that finished last *within its parent's
-//!   window* — under the portfolio that is the member that gated the
-//!   result (cancelled losers may be recorded finishing after the
-//!   root closed; they are ignored unless no child finished inside
-//!   the window).
 //! * **Folded stacks** are `root;child;leaf weight` lines (the format
 //!   `inferno`/`flamegraph.pl` consume), one line per distinct span
 //!   name path, weighted by aggregate self-time in microseconds.
@@ -26,21 +20,6 @@
 use std::collections::HashMap;
 
 use crate::SpanRecord;
-
-/// One step of the critical path, root first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CriticalHop {
-    /// Span id.
-    pub id: u64,
-    /// Span name.
-    pub name: String,
-    /// Thread ordinal the span closed on.
-    pub thread: u64,
-    /// Span duration, microseconds.
-    pub dur_us: u64,
-    /// Span self-time, microseconds.
-    pub self_us: u64,
-}
 
 /// Self-time of every span, index-aligned with `spans`: duration
 /// minus the summed durations of direct children, clamped at zero.
@@ -54,63 +33,6 @@ pub fn self_times_us(spans: &[SpanRecord]) -> Vec<u64> {
         }
     }
     selfs
-}
-
-/// The critical path, root first: starts at the longest root span and
-/// follows, at each level, the child that finished last within the
-/// parent's time window (see the module docs for the portfolio
-/// rationale). Empty iff `spans` is empty.
-#[must_use]
-pub fn critical_path(spans: &[SpanRecord]) -> Vec<CriticalHop> {
-    let selfs = self_times_us(spans);
-    let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        if let Some(p) = s.parent {
-            children.entry(p).or_default().push(i);
-        }
-    }
-    let Some(mut cur) = spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.parent.is_none())
-        .max_by_key(|(i, s)| (s.dur_us, u64::MAX - spans[*i].id))
-        .map(|(i, _)| i)
-    else {
-        return Vec::new();
-    };
-    let mut path = Vec::new();
-    // The id-indexed descent cannot revisit a span (children are
-    // distinct indices), but cap the walk defensively anyway.
-    for _ in 0..=spans.len() {
-        let s = &spans[cur];
-        path.push(CriticalHop {
-            id: s.id,
-            name: s.name.clone(),
-            thread: s.thread,
-            dur_us: s.dur_us,
-            self_us: selfs[cur],
-        });
-        let Some(kids) = children.get(&s.id) else {
-            break;
-        };
-        let parent_end = s.start_us.saturating_add(s.dur_us);
-        let end = |i: &usize| spans[*i].start_us.saturating_add(spans[*i].dur_us);
-        // Prefer children that finished inside the parent's window
-        // (losers cancelled after the parent closed are not on the
-        // path); fall back to all children if rounding excluded every
-        // one of them.
-        let within: Vec<usize> = kids.iter().copied().filter(|i| end(i) <= parent_end).collect();
-        let pool = if within.is_empty() { kids.clone() } else { within };
-        let Some(next) = pool
-            .iter()
-            .max_by_key(|i| (end(i), spans[**i].dur_us, u64::MAX - spans[**i].id))
-            .copied()
-        else {
-            break;
-        };
-        cur = next;
-    }
-    path
 }
 
 /// Collapsed-stack (folded) rendering of the span tree: one
@@ -164,12 +86,6 @@ impl crate::Snapshot {
     pub fn folded_stacks(&self) -> String {
         folded_stacks(&self.spans)
     }
-
-    /// [`critical_path`] over this snapshot's spans.
-    #[must_use]
-    pub fn critical_path(&self) -> Vec<CriticalHop> {
-        critical_path(&self.spans)
-    }
 }
 
 #[cfg(test)]
@@ -207,31 +123,6 @@ mod tests {
             span(3, Some(1), "b", 6, 6),
         ];
         assert_eq!(self_times_us(&spans)[0], 0, "children overshoot clamps to zero");
-    }
-
-    #[test]
-    fn critical_path_follows_latest_finisher_within_window() {
-        // root [0,100]; fast member [5,35]; winner [5,95];
-        // cancelled loser recorded ending after root [5,120].
-        let spans = vec![
-            span(1, None, "portfolio.run", 0, 100),
-            span(2, Some(1), "member.fast", 5, 30),
-            span(3, Some(1), "member.winner", 5, 90),
-            span(4, Some(1), "member.loser", 5, 115),
-            span(5, Some(3), "inner", 10, 50),
-        ];
-        let path = critical_path(&spans);
-        let names: Vec<&str> = path.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(names, ["portfolio.run", "member.winner", "inner"]);
-    }
-
-    #[test]
-    fn critical_path_starts_at_longest_root() {
-        let spans = vec![span(1, None, "short", 0, 10), span(2, None, "long", 0, 50)];
-        let path = critical_path(&spans);
-        assert_eq!(path.len(), 1);
-        assert_eq!(path[0].name, "long");
-        assert!(critical_path(&[]).is_empty());
     }
 
     #[test]

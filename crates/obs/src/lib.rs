@@ -56,7 +56,7 @@
 /// Counting `GlobalAlloc` wrapper and per-thread/global allocation
 /// statistics (`alloc-profile` feature; inert stubs otherwise).
 pub mod alloc;
-/// Post-hoc span analysis: self-times, critical path, folded stacks.
+/// Post-hoc span analysis: self-times and folded stacks.
 pub mod analyze;
 /// Relative-threshold comparison of two summary documents (the
 /// `trace-diff` regression gate).

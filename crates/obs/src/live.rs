@@ -11,7 +11,7 @@
 //!   every publish on one branch and allocates nothing, so a run with
 //!   live telemetry off is byte-identical to one predating this
 //!   module. Every cell is a plain atomic written with `Relaxed`
-//!   stores — the hot path (the `CANCEL_POLL_MASK` poll in
+//!   stores — the hot path (the colouring search's poll in
 //!   `core::coloring`, the pool workers, the anonymizer's stop
 //!   probes) pays one predictable branch plus one relaxed RMW.
 //! * [`Sampler::spawn`] starts a thread that sleeps on a configurable
@@ -200,8 +200,8 @@ impl ProgressBoard {
         }
     }
 
-    /// Adds to the nodes-expanded counter (called with the poll
-    /// stride from the coloring hot loop).
+    /// Adds to the nodes-expanded counter (called at each colouring
+    /// poll and solve exit with the assignments tried since the last).
     #[inline]
     pub fn add_nodes(&self, n: u64) {
         if let Some(c) = &self.cells {

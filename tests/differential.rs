@@ -247,11 +247,11 @@ fn huge_budget_is_byte_identical_to_unbounded() {
     let budgeted = Diva::new(config).run(&rel, &sigma).expect("solves");
     assert_eq!(fingerprint(&unbounded), fingerprint(&budgeted));
     assert!(budgeted.outcome.is_exact());
-    // The budgeted run additionally reports its accounting. (Node
-    // charges land in 256-assignment quanta, so a small search can
-    // legitimately report zero explored nodes — only presence is
-    // asserted here.)
-    assert!(budgeted.stats.budget.is_some(), "armed budget reports no usage");
+    // The budgeted run additionally reports its accounting, and every
+    // search flushes its remainder at exit, so the charged nodes are
+    // exactly the searches' own count.
+    let usage = budgeted.stats.budget.as_ref().expect("armed budget reports its usage");
+    assert_eq!(usage.nodes_explored, budgeted.stats.coloring.assignments_tried);
     assert!(unbounded.stats.budget.is_none(), "unbudgeted run invented accounting");
 }
 

@@ -7,15 +7,13 @@
 //! exact degrade reason and byte-identical reruns.
 #![cfg(feature = "fault-inject")]
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 use diva_constraints::{generators, Constraint, ConstraintSet};
 use diva_core::faults::FaultPlan;
 use diva_core::{
-    run_portfolio, BudgetSpec, DegradeReason, Diva, DivaConfig, DivaError, DivaResult, Outcome,
-    Strategy,
+    run_portfolio, BudgetSpec, Controls, DegradeReason, Diva, DivaConfig, DivaError, DivaResult,
+    Outcome, Strategy,
 };
 use diva_obs::Obs;
 use diva_relation::suppress::is_refinement;
@@ -183,7 +181,7 @@ fn spurious_repair_failures_are_absorbed() {
 }
 
 /// The regression the satellite issue calls out: cancellation arriving
-/// exactly between clustering and suppress. `run_cancellable` must
+/// exactly between clustering and suppress. `run_with` must
 /// abort with [`DivaError::Cancelled`] before suppressing — the trace
 /// shows clustering ran and nothing after it did.
 #[test]
@@ -196,8 +194,7 @@ fn cancellation_between_clustering_and_suppress_aborts_cleanly() {
         faults: FaultPlan::seeded(0).cancel_at_phase("clustering"),
         ..DivaConfig::default()
     };
-    let cancel = Arc::new(AtomicBool::new(false));
-    let err = Diva::new(config).run_cancellable(&rel, &sigma, &cancel).unwrap_err();
+    let err = Diva::new(config).run_with(&rel, &sigma, &Controls::default()).unwrap_err();
     assert_eq!(err, DivaError::Cancelled);
 
     let trace = obs.snapshot().trace_jsonl();

@@ -1,4 +1,4 @@
-//! Workspace-level profiling tests: self-time/critical-path analysis
+//! Workspace-level profiling tests: self-time analysis
 //! over a real pipeline run, memory attribution on the degraded path,
 //! and the trace-regression gate against the committed baseline.
 //!
@@ -56,20 +56,6 @@ fn folded_weights_telescope_to_the_run_duration() {
         "folded weights {total} do not telescope to diva.run {} (±{slack})",
         run.dur_us
     );
-}
-
-/// The critical path starts at `diva.run` and descends through real
-/// phase spans.
-#[test]
-fn critical_path_roots_at_diva_run() {
-    let (_, snap) = run_traced(DivaConfig::with_k(5).strategy(Strategy::MaxFanOut));
-    let path = snap.critical_path();
-    assert!(!path.is_empty());
-    assert_eq!(path[0].name, "diva.run");
-    assert!(path.len() >= 2, "critical path never left the root: {path:?}");
-    for hop in &path {
-        assert!(hop.self_us <= hop.dur_us, "self-time exceeds duration: {hop:?}");
-    }
 }
 
 /// A zero deadline forces the degraded path; its `diva.degrade` span
