@@ -83,7 +83,7 @@ fn run(args: &[String]) -> Result<(), String> {
             return Ok(());
         }
     }
-    let opts = parse_flags(&args[1..])?;
+    let opts = parse_flags(command, &args[1..])?;
     match command.as_str() {
         "anonymize" => anonymize(&opts),
         "audit" => audit_cmd(&opts),
@@ -101,17 +101,31 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Each subcommand's synopsis, in the order `diva help` lists them.
-const COMMANDS: [(&str, &str); 8] = [
-    (
-        "anonymize",
-        "anonymize  --input FILE --roles LIST --constraints FILE -k N \\\n\
+/// One subcommand: its name, the flags it reads (`--quiet` is
+/// global), and its synopsis.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    synopsis: &'static str,
+}
+
+/// Every subcommand, in the order `diva help` lists them.
+const COMMANDS: [Command; 8] = [
+    Command {
+        name: "anonymize",
+        flags: &[
+            "input", "roles", "constraints", "k", "output", "strategy", "algo", "seed", "l",
+            "l-variant", "l-c", "portfolio", "threads", "no-decompose", "provenance", "trace",
+            "metrics", "flame", "profile", "deadline-ms", "node-budget", "repair-budget",
+            "stats-addr", "watch", "sample-ms", "stall-periods", "stall-escalate",
+        ],
+        synopsis: "anonymize  --input FILE --roles LIST --constraints FILE -k N \\\n\
          \u{20}          [--strategy basic|minchoice|maxfanout] [--algo kmember|oka|mondrian]\n\
          \u{20}          [--l N  l-diversity requirement, default 1 = off]\n\
          \u{20}          [--l-variant distinct|entropy|recursive  how --l is enforced,\n\
          \u{20}           default distinct; recursive reads its c from --l-c (default 1.0)]\n\
          \u{20}          [--l-c F  the c of recursive (c,l)-diversity]\n\
-         \u{20}          [--portfolio N  race all strategies × N seeds, first win returns]\n\
+         \u{20}          [--portfolio N  race all strategies × N seeds; a decisive member stops the rest]\n\
          \u{20}          [--threads N  worker cap for --portfolio and the component pool]\n\
          \u{20}          [--no-decompose  force the monolithic solve (no component parallelism)]\n\
          \u{20}          [--provenance FILE  write the decision-provenance log (json-lines):\n\
@@ -135,56 +149,72 @@ const COMMANDS: [(&str, &str); 8] = [
          \u{20}           default 5]\n\
          \u{20}          [--stall-escalate  a detected stall degrades the run gracefully]\n\
          \u{20}          [--seed N] --output FILE",
-    ),
-    (
-        "audit",
-        "audit      --input FILE --roles LIST [--emit json|table] [--output FILE] \\\n\
+    },
+    Command {
+        name: "audit",
+        flags: &[
+            "input", "roles", "emit", "output", "k", "l", "entropy-l", "recursive-c",
+            "recursive-l", "alpha", "beta", "enhanced-beta", "delta", "t", "trace", "metrics",
+            "flame", "profile",
+        ],
+        synopsis: "audit      --input FILE --roles LIST [--emit json|table] [--output FILE] \\\n\
          \u{20}          [--k N] [--l N  distinct] [--entropy-l F] \\\n\
          \u{20}          [--recursive-c F] [--recursive-l N  tail index, default 2] \\\n\
          \u{20}          [--alpha F] [--beta F] [--enhanced-beta F] [--delta F] [--t F]\n\
          \u{20}          scores the table on all nine privacy models; each given\n\
          \u{20}          parameter becomes a pass/fail gate (non-zero exit on failure)",
-    ),
-    (
-        "explain",
-        "explain    (--provenance FILE | --input FILE --roles LIST --constraints FILE -k N) \\\n\
+    },
+    Command {
+        name: "explain",
+        flags: &[
+            "provenance", "input", "roles", "constraints", "k", "seed", "row", "constraint",
+            "top-costly", "emit", "output",
+        ],
+        synopsis: "explain    (--provenance FILE | --input FILE --roles LIST --constraints FILE -k N) \\\n\
          \u{20}          (--row N | --constraint ID-or-LABEL | --top-costly) \\\n\
          \u{20}          [--emit json|table] [--output FILE]\n\
          \u{20}          answers provenance queries — which decision starred a row's cells,\n\
          \u{20}          what one constraint cost, the costliest constraints — against a\n\
          \u{20}          saved --provenance file or a fresh run",
-    ),
-    (
-        "check",
-        "check      --input FILE --roles LIST --constraints FILE -k N",
-    ),
-    (
-        "stats",
-        "stats      --input FILE --roles LIST -k N",
-    ),
-    (
-        "generate",
-        "generate   --dataset medical|pantheon|census|credit|popsyn --rows N \\\n\
+    },
+    Command {
+        name: "check",
+        flags: &["input", "roles", "constraints", "k"],
+        synopsis: "check      --input FILE --roles LIST --constraints FILE -k N",
+    },
+    Command {
+        name: "stats",
+        flags: &["input", "roles", "k"],
+        synopsis: "stats      --input FILE --roles LIST -k N",
+    },
+    Command {
+        name: "generate",
+        flags: &["dataset", "rows", "dist", "seed", "output"],
+        synopsis: "generate   --dataset medical|pantheon|census|credit|popsyn --rows N \\\n\
          \u{20}          [--dist uniform|zipf|gaussian] [--seed N] --output FILE",
-    ),
-    (
-        "sigma-gen",
-        "sigma-gen  --input FILE --roles LIST --class proportional|minfreq|average|islands \\\n\
+    },
+    Command {
+        name: "sigma-gen",
+        flags: &[
+            "input", "roles", "class", "count", "slack", "min-freq", "per-group", "output",
+        ],
+        synopsis: "sigma-gen  --input FILE --roles LIST --class proportional|minfreq|average|islands \\\n\
          \u{20}          --count N [--slack F] [--min-freq N] \\\n\
          \u{20}          [--per-group N  islands: constraints per family, default 3] --output FILE",
-    ),
-    (
-        "compare",
-        "compare    --input FILE --roles LIST --constraints FILE -k N [--seed N]",
-    ),
+    },
+    Command {
+        name: "compare",
+        flags: &["input", "roles", "constraints", "k", "seed"],
+        synopsis: "compare    --input FILE --roles LIST --constraints FILE -k N [--seed N]",
+    },
 ];
 
 /// The flags every subcommand accepts.
 const GLOBAL_FLAGS: &str = "global:    --quiet  suppress the human-readable report lines";
 
 fn usage() -> String {
-    let names: Vec<&str> = COMMANDS.iter().map(|&(name, _)| name).collect();
-    let synopses: Vec<&str> = COMMANDS.iter().map(|&(_, synopsis)| synopsis).collect();
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let synopses: Vec<&str> = COMMANDS.iter().map(|c| c.synopsis).collect();
     format!(
         "usage: diva <{}> [flags]\n\n{}\n\n{GLOBAL_FLAGS}",
         names.join("|"),
@@ -194,12 +224,19 @@ fn usage() -> String {
 
 /// One subcommand's usage, printed by `diva <command> --help`.
 fn command_usage(command: &str) -> Option<String> {
-    COMMANDS.iter().find(|&&(name, _)| name == command).map(|(_, synopsis)| {
-        format!("usage: diva {command} [flags]\n\n{synopsis}\n\n{GLOBAL_FLAGS}")
-    })
+    find_command(command)
+        .map(|c| format!("usage: diva {command} [flags]\n\n{}\n\n{GLOBAL_FLAGS}", c.synopsis))
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+fn find_command(command: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == command)
+}
+
+/// Parses `--name value` / `--flag` pairs. For a known subcommand,
+/// any flag it does not read (other than the global `--quiet`) is an
+/// error, so a misspelt flag cannot silently fall back to a default.
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let known = find_command(command).map(|c| c.flags);
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -207,6 +244,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             .strip_prefix("--")
             .or_else(|| args[i].strip_prefix('-'))
             .ok_or_else(|| format!("expected a flag, found {:?}", args[i]))?;
+        if known.is_some_and(|flags| key != "quiet" && !flags.contains(&key)) {
+            return Err(format!("unknown flag --{key} for {command}"));
+        }
         if BOOLEAN_FLAGS.contains(&key) {
             out.insert(key.to_string(), "true".to_string());
             i += 1;

@@ -452,6 +452,22 @@ fn bad_flags_are_reported() {
     assert!(String::from_utf8_lossy(&o.stdout).contains("usage"));
 }
 
+/// A misspelt flag is rejected instead of silently leaving its
+/// setting at the default (here: an unbounded run).
+#[test]
+fn unknown_flags_are_rejected() {
+    let o = diva(&["anonymize", "--input", "x.csv", "--node-budjet", "1", "--quiet"]);
+    assert!(!o.status.success());
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert!(stderr.contains("unknown flag --node-budjet for anonymize"), "{stderr}");
+
+    // A flag another subcommand reads is still unknown here.
+    let o = diva(&["stats", "--input", "x.csv", "--roles", "qi", "-k", "2", "--threads", "2"]);
+    assert!(!o.status.success());
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert!(stderr.contains("unknown flag --threads for stats"), "{stderr}");
+}
+
 #[test]
 fn subcommand_help_prints_its_usage() {
     let commands =

@@ -2,7 +2,7 @@
 //! distributed version of the coloring algorithm to improve
 //! scalability by satisfying constraints in parallel", realized as a
 //! portfolio: several complete DIVA searches with different strategies
-//! and seeds race, and the first success wins.
+//! and seeds race, and the first decisive verdict ends the race.
 //!
 //! A portfolio parallelizes the *search* (the exponential component)
 //! rather than a single run's bookkeeping, which is the standard way
@@ -11,18 +11,14 @@
 //! speedups whenever strategies disagree about which instance is easy
 //! — which Fig. 4a shows they strongly do.
 //!
-//! Execution model: a fixed pool of detached worker threads (capped at
-//! [`std::thread::available_parallelism`], overridable via
-//! [`DivaConfig::threads`]) pulls members off a shared work queue, so
-//! a large portfolio never oversubscribes the machine. The first
-//! success sets a shared [`AtomicBool`] cancellation token — which the
-//! colouring search polls — and `run_portfolio` returns immediately
-//! with the winner's wall-clock; losing members observe the token and
-//! abandon their searches in the background instead of running to
-//! completion.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+//! Execution model: the members are tasks of the scoped worker pool
+//! ([`crate::pool::run_tasks`]), capped at
+//! [`std::thread::available_parallelism`] or [`DivaConfig::threads`],
+//! so a large portfolio never oversubscribes the machine and members
+//! borrow the caller's relation and Σ. The first decisive member
+//! requests cancellation on the shared [`Controls`]; in-flight losers
+//! stop at their next poll, members not yet started never start, and
+//! `run_portfolio` returns once the pool has joined them all.
 
 use diva_constraints::Constraint;
 use diva_relation::Relation;
@@ -31,22 +27,27 @@ use crate::budget::{Controls, DegradeReason};
 use crate::config::{DivaConfig, Strategy};
 use crate::diva::{Diva, DivaResult};
 use crate::error::DivaError;
+use crate::pool;
 
-/// Runs a portfolio of DIVA searches in parallel and returns the first
-/// successful result.
+/// Runs a portfolio of DIVA searches in parallel and returns the best
+/// verdict.
 ///
 /// The portfolio contains one member per strategy (MinChoice,
 /// MaxFanOut, Basic) times `seeds_per_strategy` seeds derived from
 /// `config.seed`. Returns [`DivaError::EmptyPortfolio`] when
-/// `seeds_per_strategy` is zero. If every member fails, the error of
-/// the member with the strongest verdict is returned (a
-/// `NoDiverseClustering` proof beats a budget exhaustion).
+/// `seeds_per_strategy` is zero.
+///
+/// A member's verdict is decisive when it is a result (exact or
+/// budget-degraded) or a `NoDiverseClustering` proof: it cancels the
+/// other members, which stop at their next poll. The call returns once
+/// every member has stopped, and picks its answer by rule, not by
+/// arrival: an exact result beats a degraded one, then the
+/// lowest-indexed member wins; with no result, the lowest-indexed
+/// `NoDiverseClustering` proof, then the lowest-indexed other error.
 ///
 /// A configured [`DivaConfig::budget`] is armed **once** and shared by
 /// every member, so the deadline and node/repair caps are global to
 /// the portfolio — a member dequeued late does not get a fresh clock.
-/// The first member to report (exact winner *or* budget-degraded
-/// fallback) decides the portfolio's outcome and cancels the rest.
 /// Worker panics are contained: a panicking member is recorded as
 /// [`DivaError::WorkerPanicked`], and if *every* member is lost to
 /// panics (with no unsatisfiability proof), the portfolio returns the
@@ -63,7 +64,7 @@ pub fn run_portfolio(
 }
 
 /// [`run_portfolio`] with an injectable member runner — the test seam
-/// that lets the early-return, panic-containment, and budget behaviour
+/// that lets the cancellation, panic-containment, and budget behaviour
 /// be exercised with synthetic members. Production code uses
 /// [`run_portfolio`].
 pub fn run_portfolio_with<F>(
@@ -74,10 +75,7 @@ pub fn run_portfolio_with<F>(
     member_runner: F,
 ) -> Result<DivaResult, DivaError>
 where
-    F: Fn(&DivaConfig, &Relation, &[Constraint], &Controls) -> Result<DivaResult, DivaError>
-        + Send
-        + Sync
-        + 'static,
+    F: Fn(&DivaConfig, &Relation, &[Constraint], &Controls) -> Result<DivaResult, DivaError> + Sync,
 {
     config.validate()?;
     if seeds_per_strategy == 0 {
@@ -99,148 +97,127 @@ where
         }
     }
 
-    let obs = config.obs.clone();
+    let obs = &config.obs;
     let mut root_span = obs
         .span("portfolio.run")
         .attr("members", members.len())
         .attr("seeds_per_strategy", seeds_per_strategy);
     let root_id = root_span.id();
-
-    // Workers are detached: they borrow nothing from this stack frame,
-    // so the function can return the moment a winner reports, while
-    // losers notice the cancellation token and wind down on their own.
-    let members = Arc::new(members);
-    let rel = Arc::new(rel.clone());
-    let sigma = Arc::new(sigma.to_vec());
-    let runner = Arc::new(member_runner);
     // One budget for the whole portfolio: armed here (clock starts
     // now) and shared through the controls every member receives.
     let controls = Controls::new(config.budget.arm());
-    let next = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = mpsc::channel::<(usize, Result<DivaResult, DivaError>)>();
-
     // `validate()` above rejected `Some(0)`, so the cap is positive.
     let n_workers = members.len().min(config.worker_cap());
     root_span.set_attr("workers", n_workers);
-    for _ in 0..n_workers {
-        let members = Arc::clone(&members);
-        let rel = Arc::clone(&rel);
-        let sigma = Arc::clone(&sigma);
-        let runner = Arc::clone(&runner);
-        let controls = controls.clone();
-        let next = Arc::clone(&next);
-        let obs = obs.clone();
-        let tx = tx.clone();
-        std::thread::spawn(move || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= members.len() || controls.is_cancelled() {
-                break;
-            }
-            // Each member runs under its own span, explicitly parented
-            // to the portfolio root (worker threads have no implicit
-            // span stack): the span's start/duration gives the member's
-            // start and finish/cancel latency, and the attrs identify
-            // the strategy and derived seed.
-            let mut member_span = obs
-                .span("portfolio.member")
-                .attr("member", i)
-                .attr("strategy", members[i].strategy.name())
-                .attr("seed", members[i].seed);
-            if let Some(id) = root_id {
-                member_span = member_span.with_parent(id);
-            }
-            // Panic containment: a panicking member (fault injection,
-            // or a real bug) becomes a WorkerPanicked verdict rather
-            // than a silently dropped sender, so the portfolio can
-            // still account for every member.
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-inject")]
-                members[i].faults.worker_panic_point(i);
-                runner(&members[i], &rel, &sigma, &controls)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(DivaError::WorkerPanicked { detail: panic_message(payload.as_ref()) })
-            });
-            let outcome = match &out {
-                Ok(res) if res.outcome.is_exact() => "success",
-                Ok(_) => "degraded",
-                Err(DivaError::Cancelled) => "cancelled",
-                Err(DivaError::WorkerPanicked { .. }) => "panicked",
-                Err(_) => "failure",
-            };
-            member_span.set_attr("outcome", outcome);
-            member_span.end();
-            obs.counter(&format!("portfolio.{outcome}")).incr();
-            // A dropped receiver just means someone else already won.
-            if tx.send((i, out)).is_err() {
-                break;
-            }
-        });
-    }
-    drop(tx);
 
-    let mut best_err: Option<DivaError> = None;
-    // The lowest-indexed panicked member's detail, so the reported
-    // panic does not depend on which member finished last.
-    let mut panic_detail: Option<(usize, String)> = None;
-    while let Ok((winner, outcome)) = rx.recv() {
-        match outcome {
-            // Exact winner or budget-degraded member: either way the
-            // portfolio is decided (the budget is shared, so one
-            // member's exhaustion is everyone's) — cancel the rest and
-            // return.
-            Ok(res) => {
-                controls.request_cancel();
-                // Surface the winner's decision log through the
-                // caller's handle (no-op when provenance is off).
-                config.provenance.adopt(&members[winner].provenance);
-                root_span.set_attr(
-                    "outcome",
-                    if res.outcome.is_exact() { "success" } else { "degraded" },
-                );
-                root_span.end();
-                return Ok(res);
+    // The task body never returns `Err`, so the pool's fail-fast never
+    // stops the queue: every member runs unless the portfolio is
+    // already decided when it is dequeued.
+    let verdicts = pool::run_tasks(&members, n_workers, |i, member| {
+        if controls.is_cancelled() {
+            return Ok(Err(DivaError::Cancelled));
+        }
+        // Each member runs under its own span, explicitly parented to
+        // the portfolio root (pool threads have no implicit span
+        // stack): the span's start/duration gives the member's start
+        // and finish/cancel latency, and the attrs identify the
+        // strategy and derived seed.
+        let mut member_span = obs
+            .span("portfolio.member")
+            .attr("member", i)
+            .attr("strategy", member.strategy.name())
+            .attr("seed", member.seed);
+        if let Some(id) = root_id {
+            member_span = member_span.with_parent(id);
+        }
+        // Panic containment inside the task, so a panicking member
+        // still closes its span and counts as `panicked`.
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-inject")]
+            member.faults.worker_panic_point(i);
+            member_runner(member, rel, sigma, &controls)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(DivaError::WorkerPanicked { detail: panic_message(payload.as_ref()) })
+        });
+        // A result or an unsatisfiability proof decides the portfolio
+        // (the budget is shared, so one member's exhaustion is
+        // everyone's).
+        if matches!(out, Ok(_) | Err(DivaError::NoDiverseClustering { .. })) {
+            controls.request_cancel();
+        }
+        let outcome = match &out {
+            Ok(res) if res.outcome.is_exact() => "success",
+            Ok(_) => "degraded",
+            Err(DivaError::Cancelled) => "cancelled",
+            Err(DivaError::WorkerPanicked { .. }) => "panicked",
+            Err(_) => "failure",
+        };
+        member_span.set_attr("outcome", outcome);
+        member_span.end();
+        obs.counter(&format!("portfolio.{outcome}")).incr();
+        Ok(out)
+    });
+    // No task fails, so every member is dequeued (`None` cannot
+    // occur); `Some(Err)` only if the pool caught a panic outside the
+    // member's own containment.
+    let mut verdicts: Vec<_> = verdicts
+        .into_iter()
+        .map(|v| v.map_or(Err(DivaError::Cancelled), |v| v.and_then(|out| out)))
+        .collect();
+
+    // Exact before degraded, then the lowest member index.
+    let winner = verdicts
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| v.as_ref().ok().map(|res| (!res.outcome.is_exact(), i)))
+        .min();
+    if let Some((degraded, i)) = winner {
+        // Surface the winner's decision log through the caller's
+        // handle (no-op when provenance is off).
+        config.provenance.adopt(&members[i].provenance);
+        root_span.set_attr("outcome", if degraded { "degraded" } else { "success" });
+        root_span.end();
+        return verdicts.swap_remove(i);
+    }
+    // Scanned in member order, so each slot keeps its lowest index.
+    let (mut proof, mut panic_detail, mut other) = (None, None, None);
+    for e in verdicts.into_iter().filter_map(Result::err) {
+        match e {
+            // A member that observed the token carries no verdict.
+            DivaError::Cancelled => {}
+            DivaError::NoDiverseClustering { .. } => {
+                proof.get_or_insert(e);
             }
-            // A member that observed the token mid-run carries no
-            // verdict; it never reaches this loop before a win anyway.
-            Err(DivaError::Cancelled) => {}
-            Err(DivaError::WorkerPanicked { detail }) => {
-                if panic_detail.as_ref().is_none_or(|&(m, _)| winner < m) {
-                    panic_detail = Some((winner, detail));
-                }
+            DivaError::WorkerPanicked { detail } => {
+                panic_detail.get_or_insert(detail);
             }
-            Err(e) => {
-                let stronger =
-                    matches!(e, DivaError::NoDiverseClustering { .. }) || best_err.is_none();
-                if stronger {
-                    best_err = Some(e);
-                }
+            _ => {
+                other.get_or_insert(e);
             }
         }
     }
     // A complete unsatisfiability proof from any member is the true
     // verdict, panics elsewhere notwithstanding.
-    if matches!(best_err, Some(DivaError::NoDiverseClustering { .. })) {
+    if let Some(proof) = proof {
         root_span.set_attr("outcome", "failure");
         root_span.end();
-        return Err(best_err.unwrap_or(DivaError::EmptyPortfolio));
+        return Err(proof);
     }
     // Members were lost to panics and nobody proved anything: degrade
     // to the fully-suppressed fallback rather than failing the caller.
-    if let Some((_, detail)) = panic_detail {
+    if let Some(detail) = panic_detail {
         root_span.set_attr("outcome", "degraded");
         root_span.end();
         return Diva::new(config.clone()).degraded_fallback(
-            &rel,
-            &sigma,
+            rel,
+            sigma,
             DegradeReason::WorkerPanic { detail },
         );
     }
-    // Every sender is dropped only after all members completed; a
-    // missing verdict can only mean the portfolio was empty.
     root_span.set_attr("outcome", "failure");
     root_span.end();
-    Err(best_err.unwrap_or(DivaError::EmptyPortfolio))
+    Err(other.unwrap_or(DivaError::EmptyPortfolio))
 }
 
 /// Best-effort stringification of a caught panic payload. Shared with
@@ -257,6 +234,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
     use diva_constraints::ConstraintSet;
@@ -327,34 +306,25 @@ mod tests {
         let obs = crate::obs::Obs::enabled();
         let config = DivaConfig::with_k(2).obs(obs.clone());
         run_portfolio(&r, &example_sigma(), &config, 2).unwrap();
-        // Detached losers may still be winding down; only the root and
-        // the winner are guaranteed recorded at return. Wait briefly
-        // for the rest (members = 3 strategies × 2 seeds).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let snap = obs.snapshot();
-            let members: Vec<_> =
-                snap.spans.iter().filter(|s| s.name == "portfolio.member").collect();
-            let root = snap.spans.iter().find(|s| s.name == "portfolio.run");
-            let done = snap.counter("portfolio.success").unwrap_or(0)
-                + snap.counter("portfolio.failure").unwrap_or(0)
-                + snap.counter("portfolio.cancelled").unwrap_or(0);
-            if root.is_some() && !members.is_empty() && done == members.len() as u64 {
-                let root_id = root.map(|s| s.id);
-                for m in &members {
-                    assert_eq!(m.parent, root_id, "member spans parent to portfolio.run");
-                    assert!(
-                        m.attrs.iter().any(|(k, _)| k == "seed"),
-                        "member span carries its seed"
-                    );
-                    assert!(m.attrs.iter().any(|(k, _)| k == "outcome"));
-                }
-                assert!(snap.counter("portfolio.success").unwrap_or(0) >= 1);
-                break;
-            }
-            assert!(Instant::now() < deadline, "portfolio spans never completed");
-            std::thread::sleep(Duration::from_millis(5));
+        // Every member has stopped by the time the call returns, so
+        // the root and every started member's span are already
+        // recorded (members not started after the decision open none).
+        let snap = obs.snapshot();
+        let members: Vec<_> = snap.spans.iter().filter(|s| s.name == "portfolio.member").collect();
+        let root_id = snap.spans.iter().find(|s| s.name == "portfolio.run").map(|s| s.id);
+        assert!(root_id.is_some(), "portfolio.run recorded");
+        assert!(!members.is_empty());
+        for m in &members {
+            assert_eq!(m.parent, root_id, "member spans parent to portfolio.run");
+            assert!(m.attrs.iter().any(|(k, _)| k == "seed"), "member span carries its seed");
+            assert!(m.attrs.iter().any(|(k, _)| k == "outcome"));
         }
+        let done: u64 = ["success", "degraded", "cancelled", "panicked", "failure"]
+            .iter()
+            .map(|o| snap.counter(&format!("portfolio.{o}")).unwrap_or(0))
+            .sum();
+        assert_eq!(done, members.len() as u64, "one outcome count per member span");
+        assert!(snap.counter("portfolio.success").unwrap_or(0) >= 1);
     }
 
     #[test]
@@ -387,8 +357,9 @@ mod tests {
     fn winner_returns_without_waiting_for_slow_losers() {
         // One fast winner (the first member: MinChoice at the base
         // seed), every other member "searches" until cancelled (capped
-        // at 10 s so a regression fails rather than hangs). The
-        // portfolio must return in roughly the winner's wall-clock.
+        // at 10 s so a regression fails rather than hangs). Losers
+        // stop at their next poll, so the portfolio returns in roughly
+        // the winner's wall-clock.
         let r = paper_table1();
         let config = DivaConfig::with_k(2);
         let base_seed = config.seed;
@@ -411,6 +382,46 @@ mod tests {
         let elapsed = t0.elapsed();
         assert!(out.groups.is_empty(), "got the synthetic winner");
         assert!(elapsed < Duration::from_secs(5), "portfolio waited for losers: {elapsed:?}");
+    }
+
+    #[test]
+    fn losers_have_stopped_when_the_portfolio_returns() {
+        // Two workers: MinChoice and MaxFanOut start together (the
+        // barrier), MinChoice wins at once, and the MaxFanOut loser
+        // polls the token, then takes 50 ms to wind down. Basic is
+        // dequeued after the decision. Every member that entered the
+        // runner has left it by the time the call returns.
+        let entries = AtomicUsize::new(0);
+        let exits = AtomicUsize::new(0);
+        let both_started = Barrier::new(2);
+        let r = paper_table1();
+        let mut config = DivaConfig::with_k(2);
+        config.threads = Some(2);
+        let out = run_portfolio_with(&r, &[], &config, 1, |member, _rel, _sigma, controls| {
+            entries.fetch_add(1, Ordering::SeqCst);
+            let out = match member.strategy {
+                Strategy::MinChoice => {
+                    both_started.wait();
+                    Ok(dummy_result())
+                }
+                Strategy::MaxFanOut => {
+                    both_started.wait();
+                    let start = Instant::now();
+                    while !controls.is_cancelled() && start.elapsed() < Duration::from_secs(10) {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                    Err(DivaError::Cancelled)
+                }
+                Strategy::Basic => Err(DivaError::Cancelled),
+            };
+            exits.fetch_add(1, Ordering::SeqCst);
+            out
+        });
+        let (entered, exited) = (entries.load(Ordering::SeqCst), exits.load(Ordering::SeqCst));
+        assert!(out.unwrap().outcome.is_exact());
+        assert!(entered >= 2);
+        assert_eq!(entered, exited, "a loser was still running after the portfolio returned");
     }
 
     #[test]

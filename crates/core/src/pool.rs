@@ -1,9 +1,7 @@
-//! Bounded scoped-thread worker pool for component-parallel solving.
-//!
-//! The component decomposition ([`crate::decompose`]) produces many
-//! independent sub-problems; this module runs them concurrently while
-//! keeping three guarantees the portfolio's detached workers cannot
-//! give:
+//! Bounded scoped-thread worker pool — the crate's one thread
+//! executor. It runs the component solves ([`crate::decompose`]),
+//! candidate enumeration, and the portfolio's members
+//! ([`crate::parallel`]) with three guarantees:
 //!
 //! * **bounded borrowing** — workers are scoped threads, so tasks can
 //!   borrow the caller's compact sub-problems instead of cloning the
@@ -19,8 +17,7 @@
 //!   publishes a half-built clustering).
 //!
 //! Panics inside a task are contained per task
-//! ([`DivaError::WorkerPanicked`]), mirroring the portfolio's
-//! containment.
+//! ([`DivaError::WorkerPanicked`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -333,9 +333,8 @@ impl Obs {
     /// an empty snapshot.
     ///
     /// A span whose parent is still open at snapshot time (e.g. a
-    /// cancelled portfolio member's inner run — losers are not
-    /// awaited) is surfaced as a root: every parent id in a snapshot
-    /// resolves within it.
+    /// snapshot taken while a run is still in flight) is surfaced as a
+    /// root: every parent id in a snapshot resolves within it.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();

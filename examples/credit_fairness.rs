@@ -100,7 +100,7 @@ fn main() {
     let t = std::time::Instant::now();
     match run_portfolio(&rel, &sigma, &DivaConfig::with_k(k), 2) {
         Ok(out) => println!(
-            "  first finisher: accuracy {:.3}, ★ {}, in {:?}",
+            "  winner: accuracy {:.3}, ★ {}, in {:?}",
             diva_metrics::star_accuracy(&out.relation),
             out.relation.star_count(),
             t.elapsed()
