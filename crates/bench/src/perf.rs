@@ -21,7 +21,8 @@ use diva_core::{
     run_portfolio, BudgetSpec, ConstraintGraph, Diva, DivaConfig, DivaError, Outcome, Strategy,
 };
 use diva_obs::{Obs, Stopwatch};
-use diva_relation::{Relation, RowId, RowSet};
+use diva_relation::csv::{read_relation, write_relation};
+use diva_relation::{AttrRole, Relation, RowId, RowSet};
 
 /// Instance sizes of the Fig. 4a-style trajectory sweep.
 const TRAJECTORY_ROWS: [usize; 4] = [250, 500, 1_000, 2_000];
@@ -673,6 +674,56 @@ fn bench_anonymize_residue(rows: usize) -> ResiduePoint {
 }
 
 // ---------------------------------------------------------------------
+// CSV I/O: the ingest and write layers at the benchmark's table shapes.
+// ---------------------------------------------------------------------
+
+/// Timed repetitions per CSV direction (after one warm-up run).
+const CSV_IO_REPS: usize = 5;
+
+struct CsvIoPoint {
+    instance: &'static str,
+    rows: usize,
+    cols: usize,
+    /// Size of the CSV text both directions run over.
+    bytes: usize,
+    read_best_s: f64,
+    write_best_s: f64,
+}
+
+/// MiB/s for `bytes` in `secs`.
+fn mib_per_s(bytes: usize, secs: f64) -> f64 {
+    if secs > 0.0 {
+        bytes as f64 / 1_048_576.0 / secs
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Times `read_relation` (CSV text to a dictionary-encoded relation)
+/// and `write_relation` (the relation back to text) on `rel`'s own CSV
+/// rendering, best of [`CSV_IO_REPS`] each.
+fn bench_csv_io(instance: &'static str, rel: &Relation) -> CsvIoPoint {
+    let text = write_relation(rel);
+    let roles: Vec<AttrRole> = rel.schema().attributes().iter().map(|a| a.role()).collect();
+    let back = read_relation(&text, &roles).expect("a written relation reads back");
+    assert_eq!(write_relation(&back), text, "CSV round trip must be byte-identical");
+    let read_best_s = time_best_ms(CSV_IO_REPS, || {
+        black_box(read_relation(black_box(&text), &roles).is_ok());
+    }) / 1_000.0;
+    let write_best_s = time_best_ms(CSV_IO_REPS, || {
+        black_box(write_relation(black_box(rel)));
+    }) / 1_000.0;
+    CsvIoPoint {
+        instance,
+        rows: rel.n_rows(),
+        cols: rel.schema().arity(),
+        bytes: text.len(),
+        read_best_s,
+        write_best_s,
+    }
+}
+
+// ---------------------------------------------------------------------
 // Audit throughput: re-scoring a published table must stay cheap.
 // ---------------------------------------------------------------------
 
@@ -758,6 +809,10 @@ pub fn bench_json() -> String {
     let audit = bench_audit_throughput(&diva_datagen::medical(100_000, 7));
     let residue: Vec<ResiduePoint> =
         RESIDUE_ROWS.iter().map(|&n| bench_anonymize_residue(n)).collect();
+    let csv_io = [
+        bench_csv_io("census-18k (seed 801)", &diva_datagen::census(18_000, 801)),
+        bench_csv_io("medical-128k (seed 7)", &diva_datagen::medical(128_000, 7)),
+    ];
 
     // Budget sweep on the acceptance instance (EXPERIMENTS.md §budget).
     let sweep_rel = diva_datagen::medical(4_000, 29);
@@ -931,6 +986,30 @@ pub fn bench_json() -> String {
     }
     out.push_str("    ]\n");
     out.push_str("  },\n");
+    out.push_str("  \"csv_io\": {\n");
+    out.push_str(
+        "    \"instance\": \"read_relation / write_relation on the table's own CSV text\",\n",
+    );
+    out.push_str(&format!("    \"reps\": {CSV_IO_REPS},\n"));
+    out.push_str("    \"points\": [\n");
+    for (i, p) in csv_io.iter().enumerate() {
+        out.push_str(&format!(
+            "      {{\"instance\": \"{}\", \"rows\": {}, \"cols\": {}, \"bytes\": {}, \
+             \"read_best_s\": {:.4}, \"read_mib_per_s\": {:.1}, \
+             \"write_best_s\": {:.4}, \"write_mib_per_s\": {:.1}}}{}\n",
+            p.instance,
+            p.rows,
+            p.cols,
+            p.bytes,
+            p.read_best_s,
+            mib_per_s(p.bytes, p.read_best_s),
+            p.write_best_s,
+            mib_per_s(p.bytes, p.write_best_s),
+            if i + 1 < csv_io.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("    ]\n");
+    out.push_str("  },\n");
     out.push_str("  \"audit_throughput\": {\n");
     out.push_str("    \"instance\": \"medical-100k raw, all eight models gated\",\n");
     out.push_str(&format!("    \"rows\": {},\n", audit.rows));
@@ -967,6 +1046,15 @@ mod tests {
         let p = bench_anonymize_residue(500);
         assert_eq!(p.rows, 500);
         assert!(p.best_s > 0.0 && p.rows_per_sec.is_finite());
+    }
+
+    #[test]
+    fn csv_io_reports_sane_numbers() {
+        let p = bench_csv_io("census-300", &diva_datagen::census(300, 801));
+        assert_eq!((p.rows, p.cols), (300, 40));
+        assert!(p.bytes > 300 * 40);
+        assert!(p.read_best_s > 0.0 && mib_per_s(p.bytes, p.read_best_s).is_finite());
+        assert!(p.write_best_s > 0.0 && mib_per_s(p.bytes, p.write_best_s).is_finite());
     }
 
     #[test]

@@ -467,7 +467,11 @@ fn start_live_telemetry(
 
 fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
     let reporter = Reporter::new(opts);
-    let rel = load_input(opts)?;
+    let obs = obs_for(opts);
+    let rel = {
+        let _read = obs.span("io.read");
+        load_input(opts)?
+    };
     let sigma = load_constraints(opts)?;
     let k = parse_k(opts)?;
     let output = PathBuf::from(req(opts, "output")?);
@@ -502,7 +506,6 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
         })
         .transpose()?;
     let budget = parse_budget(opts)?;
-    let obs = obs_for(opts);
     let board = if live_requested(opts) {
         diva_obs::live::ProgressBoard::enabled()
     } else {
@@ -571,8 +574,15 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(live) = live {
         live.stop();
     }
-    // Exports are written even on failure: the partial trace is
-    // exactly what explains an aborted or infeasible search.
+    // The relation is written before the exports so that `io.write`
+    // is in them; the exports are written even on failure: the
+    // partial trace is exactly what explains an aborted or infeasible
+    // search.
+    let out = result.map_err(|e| e.to_string()).and_then(|out| {
+        let _write = obs.span("io.write");
+        write_relation_file(&out.relation, &output).map_err(|e| e.to_string())?;
+        Ok(out)
+    });
     write_exports(opts, &obs)?;
     if let (Some(path), Some(text)) = (opts.get("provenance"), provenance.render()) {
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
@@ -580,8 +590,7 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
     if opts.contains_key("profile") {
         profile_report(&reporter, &obs);
     }
-    let out = result.map_err(|e| e.to_string())?;
-    write_relation_file(&out.relation, &output).map_err(|e| e.to_string())?;
+    let out = out?;
     if let Outcome::Degraded { reason } = &out.outcome {
         report!(reporter, "degraded: {reason}");
     }

@@ -575,6 +575,79 @@ fn trace_metrics_and_quiet_flags() {
     assert!(summary.get("spans").and_then(|s| s.get("diva.run")).is_some());
 }
 
+/// `(name, parent, start_us, dur_us)` of every span in a JSON-lines
+/// trace.
+fn trace_spans(trace: &str) -> Vec<(String, Option<f64>, f64, f64)> {
+    trace
+        .lines()
+        .map(|line| {
+            let v = diva_obs::json::parse(line).expect("trace line parses");
+            let num = |key: &str| v.get(key).and_then(|x| x.as_num());
+            (
+                v.get("name").and_then(|x| x.as_str()).expect("name").to_string(),
+                num("parent"),
+                num("start_us").expect("start_us"),
+                num("dur_us").expect("dur_us"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn io_spans_bracket_the_run() {
+    let data = tmp("io_medical.csv");
+    let sigma = tmp("io_sigma.txt");
+    let trace = tmp("io_trace.jsonl");
+    let metrics = tmp("io_metrics.json");
+    diva(&[
+        "generate",
+        "--dataset",
+        "medical",
+        "--rows",
+        "300",
+        "--seed",
+        "11",
+        "--output",
+        data.to_str().unwrap(),
+    ]);
+    std::fs::write(&sigma, "ETH[Caucasian]: 10..300\n").unwrap();
+    let a = diva(&[
+        "anonymize",
+        "--input",
+        data.to_str().unwrap(),
+        "--roles",
+        MEDICAL_ROLES,
+        "--constraints",
+        sigma.to_str().unwrap(),
+        "-k",
+        "5",
+        "--quiet",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--metrics",
+        metrics.to_str().unwrap(),
+        "--output",
+        tmp("io_anon.csv").to_str().unwrap(),
+    ]);
+    assert!(a.status.success(), "{}", String::from_utf8_lossy(&a.stderr));
+    let spans = trace_spans(&std::fs::read_to_string(&trace).unwrap());
+    let find = |name: &str| {
+        let hits: Vec<_> = spans.iter().filter(|s| s.0 == name).collect();
+        assert_eq!(hits.len(), 1, "expected one {name} span: {spans:?}");
+        hits[0].clone()
+    };
+    let (read, run, write) = (find("io.read"), find("diva.run"), find("io.write"));
+    // Both I/O spans are roots: reading ends before the run starts,
+    // writing starts after it ends.
+    assert_eq!((read.1, write.1), (None, None), "{spans:?}");
+    assert!(read.2 + read.3 <= run.2, "io.read overlaps diva.run: {spans:?}");
+    assert!(run.2 + run.3 <= write.2, "io.write overlaps diva.run: {spans:?}");
+    let summary = diva_obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    for name in ["io.read", "io.write"] {
+        assert!(summary.get("spans").and_then(|s| s.get(name)).is_some(), "summary lacks {name}");
+    }
+}
+
 #[test]
 fn deadline_budget_degrades_instead_of_failing() {
     let data = tmp("budget_medical.csv");
@@ -818,15 +891,21 @@ fn flame_and_profile_report_cover_the_run() {
     }
     assert!(stdout.contains(&format!("wrote {}", flame.display())), "{stdout}");
 
-    // Every folded line is `diva.run[;child]* weight`, and the weights
-    // telescope back to the root span's duration (within one
-    // microsecond of rounding per span).
+    // Every folded line is `diva.run[;child]* weight` or one of the
+    // leaf I/O roots around it, and the `diva.run` weights telescope
+    // back to that span's duration (within one microsecond of rounding
+    // per span).
     let folded = std::fs::read_to_string(&flame).unwrap();
     assert!(!folded.is_empty(), "empty flame export");
     let mut total = 0u64;
     let mut n_lines = 0u64;
+    let mut io_roots = Vec::new();
     for line in folded.lines() {
         let (stack, w) = line.rsplit_once(' ').expect("weight separator");
+        if stack == "io.read" || stack == "io.write" {
+            io_roots.push(stack.to_string());
+            continue;
+        }
         assert!(
             stack == "diva.run" || stack.starts_with("diva.run;"),
             "stack not rooted at diva.run: {line}"
@@ -834,6 +913,8 @@ fn flame_and_profile_report_cover_the_run() {
         total += w.parse::<u64>().expect("numeric weight");
         n_lines += 1;
     }
+    io_roots.sort();
+    assert_eq!(io_roots, ["io.read", "io.write"], "{folded}");
     let trace_text = std::fs::read_to_string(&trace).unwrap();
     let run_line = trace_text
         .lines()

@@ -54,10 +54,17 @@ impl RelationBuilder {
             self.schema.arity()
         );
         for (col, v) in values.iter().enumerate() {
-            let s = v.as_ref();
-            let code = if s == "★" { STAR_CODE } else { self.dicts[col].intern(s) };
-            self.cols[col].push(code);
+            self.push_value(col, v.as_ref());
         }
+    }
+
+    /// Appends one cell to column `col`: the literal string `"★"` is
+    /// stored as a suppressed cell, anything else is interned into the
+    /// column's dictionary. The caller completes every row before
+    /// [`RelationBuilder::finish`], as the streaming CSV reader does.
+    pub(crate) fn push_value(&mut self, col: usize, value: &str) {
+        let code = if value == "★" { STAR_CODE } else { self.dicts[col].intern(value) };
+        self.cols[col].push(code);
     }
 
     /// Number of rows pushed so far.

@@ -1,8 +1,34 @@
 //! Per-column string dictionaries.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::value::STAR_CODE;
+
+/// FNV-1a (64-bit) over the key's bytes: the hasher of [`Dict`]'s
+/// index. Interning hashes one short string per CSV cell, where
+/// SipHash's per-call setup dominates; the keys come from an operator's
+/// input file, and no order is ever taken from the map (codes live in
+/// `values`), so a keyed hash buys nothing here.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// An append-only string dictionary mapping distinct attribute values to
 /// dense `u32` codes.
@@ -15,7 +41,7 @@ use crate::value::STAR_CODE;
 #[derive(Debug, Clone, Default)]
 pub struct Dict {
     values: Vec<Box<str>>,
-    index: HashMap<Box<str>, u32>,
+    index: HashMap<Box<str>, u32, BuildHasherDefault<Fnv1a>>,
 }
 
 impl Dict {
@@ -114,6 +140,18 @@ mod tests {
         d.intern("present");
         assert_eq!(d.code("present"), Some(0));
         assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        let hash = |bytes: &[u8]| {
+            let mut h = Fnv1a::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   `debug_assert!` remain sanctioned for stating invariants.
 //! * **`hot-path-hash`** — the dense search kernels
 //!   (`core::{state, graph, coloring, candidates}`,
-//!   `relation::rowset`) must not regress to `HashMap`/`HashSet`/
+//!   `relation::rowset`) and the CSV tokenizer (`relation::csv`)
+//!   must not regress to `HashMap`/`HashSet`/
 //!   `BTreeMap`; the one sanctioned use (the FNV-keyed cluster
 //!   registry in `state.rs`) is on the built-in allowlist.
 //! * **`thread-spawn`** — detached `std::thread::spawn` only in the
@@ -139,13 +140,15 @@ pub(crate) const ALLOWLIST: &[(&str, &str)] =
 pub(crate) const LIB_CRATES: [&str; 7] =
     ["obs", "relation", "constraints", "metrics", "anonymize", "datagen", "core"];
 
-/// The dense search kernels covered by `hot-path-hash`.
-pub(crate) const HOT_PATH_FILES: [&str; 5] = [
+/// The dense search kernels covered by `hot-path-hash`, plus the CSV
+/// tokenizer, whose only map is the column `Dict`'s index.
+pub(crate) const HOT_PATH_FILES: [&str; 6] = [
     "crates/core/src/state.rs",
     "crates/core/src/graph.rs",
     "crates/core/src/coloring.rs",
     "crates/core/src/candidates.rs",
     "crates/relation/src/rowset.rs",
+    "crates/relation/src/csv.rs",
 ];
 
 /// Scans one file. `path` is the workspace-relative path (with `/`

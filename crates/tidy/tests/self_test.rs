@@ -39,6 +39,14 @@ fn rule_b_hot_path_hash_fires_on_fixture() {
 }
 
 #[test]
+fn rule_b_hot_path_hash_fires_in_the_csv_tokenizer() {
+    // csv.rs interns straight into the column dictionaries; an
+    // intermediate map there is a regression.
+    let v = diva_tidy::scan_file("crates/relation/src/csv.rs", &fixture("hot_path_hash.rs"));
+    assert_eq!(lines_for(&v, "hot-path-hash"), vec![3, 4, 7], "{v:#?}");
+}
+
+#[test]
 fn rule_b_allowlist_sanctions_state_registry() {
     let v = diva_tidy::scan_file("crates/core/src/state.rs", &fixture("hot_path_hash.rs"));
     assert!(lines_for(&v, "hot-path-hash").is_empty(), "{v:#?}");
